@@ -98,9 +98,18 @@ void BM_ExecutorCount(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorCount);
 
+// Tokenize + the full SQLBERT forward of one query as a B=1 batch
+// (inference: no tape, schema encoded once).
 void BM_PreqrEncode(benchmark::State& state) {
+  core::PreqrModel& model = *S().model;
+  model.set_train(false);
+  nn::NoGradGuard no_grad;
+  const nn::Tensor schema = model.EncodeSchemaNodes(/*with_grad=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(S().model->Encode(kQuery));
+    auto tokenized = model.tokenizer().Tokenize(kQuery);
+    const auto batch = text::SqlTokenizer::Collate(
+        {&tokenized.value()}, model.config().max_seq_len);
+    benchmark::DoNotOptimize(model.ForwardBatch(batch, schema));
   }
 }
 BENCHMARK(BM_PreqrEncode);

@@ -22,6 +22,23 @@ double Seconds(const std::chrono::steady_clock::time_point& a,
          1000.0;
 }
 
+// Reconstruction loss of one query's own token ids from its B=1 final
+// token states [1, T, d].
+nn::Tensor TokenLoss(const core::PreqrModel& model, const nn::Tensor& tokens,
+                     const std::vector<int>& ids) {
+  const int t = tokens.dim(1);
+  nn::Tensor logits =
+      nn::Reshape(model.MlmLogits(tokens), {t, model.vocab_size()});
+  std::vector<int> targets(ids.begin(), ids.begin() + t);
+  return nn::CrossEntropy(logits, targets, -1);
+}
+
+text::SqlTokenizer::TokenizedBatch CollateOne(
+    const core::PreqrModel& model,
+    const text::SqlTokenizer::Tokenized& tokenized) {
+  return text::SqlTokenizer::Collate({&tokenized}, model.config().max_seq_len);
+}
+
 void Run() {
   PrintHeader("Table 5", "update cost of the PreQR model");
   core::PreqrConfig config = BenchConfig();
@@ -69,12 +86,10 @@ void Run() {
       auto tokenized = s.model->tokenizer().Tokenize(sql);
       if (!tokenized.ok()) continue;
       adam.ZeroGrad();
-      nn::Tensor prefix = s.model->EncodePrefix(tokenized.value(), schema);
-      auto enc = s.model->LastLayer(prefix, schema);
-      nn::Tensor logits = s.model->MlmLogits(enc.tokens);
-      std::vector<int> targets(tokenized.value().ids.begin(),
-                               tokenized.value().ids.begin() + logits.dim(0));
-      nn::CrossEntropy(logits, targets, -1).Backward();
+      const auto batch = CollateOne(*s.model, tokenized.value());
+      nn::Tensor prefix = s.model->EncodePrefixBatch(batch, schema);
+      nn::Tensor tokens = s.model->LastLayerBatch(prefix, schema, batch.lengths);
+      TokenLoss(*s.model, tokens, tokenized.value().ids).Backward();
       adam.Step();
     }
     case1 = Seconds(t0, std::chrono::steady_clock::now());
@@ -94,12 +109,9 @@ void Run() {
       for (size_t j = i; j < std::min(samples.size(), i + 8); ++j) {
         auto tokenized = s.model->tokenizer().Tokenize(samples[j]);
         if (!tokenized.ok()) continue;
-        auto enc = s.model->Forward(tokenized.value(), schema);
-        nn::Tensor logits = s.model->MlmLogits(enc.tokens);
-        std::vector<int> targets(tokenized.value().ids.begin(),
-                                 tokenized.value().ids.begin() +
-                                     logits.dim(0));
-        nn::CrossEntropy(logits, targets, -1).Backward();
+        nn::Tensor tokens = s.model->ForwardBatch(
+            CollateOne(*s.model, tokenized.value()), schema);
+        TokenLoss(*s.model, tokens, tokenized.value().ids).Backward();
       }
       adam.Step();
     }
@@ -120,11 +132,9 @@ void Run() {
       auto tokenized = s.model->tokenizer().Tokenize(corpus[i]);
       if (!tokenized.ok()) continue;
       adam.ZeroGrad();
-      auto enc = s.model->Forward(tokenized.value(), schema);
-      nn::Tensor logits = s.model->MlmLogits(enc.tokens);
-      std::vector<int> targets(tokenized.value().ids.begin(),
-                               tokenized.value().ids.begin() + logits.dim(0));
-      nn::CrossEntropy(logits, targets, -1).Backward();
+      nn::Tensor tokens = s.model->ForwardBatch(
+          CollateOne(*s.model, tokenized.value()), schema);
+      TokenLoss(*s.model, tokens, tokenized.value().ids).Backward();
       adam.Step();
     }
     case3 = Seconds(t0, std::chrono::steady_clock::now());

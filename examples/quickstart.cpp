@@ -55,8 +55,10 @@ int main() {
   core::Pretrainer pretrainer(model, options);
   pretrainer.Train(workload_sqls);
 
-  // 5. Use the representation: queries q1/q3 of Figure 2 are logically
+  // 5. Use the representation (the encoder's structured read-out over the
+  //    fine-tunable last layer): queries q1/q3 of Figure 2 are logically
   //    equal; q5 only shares the schema neighborhood.
+  tasks::PreqrEncoder encoder(&model);
   const char* q1 =
       "SELECT COUNT(*) FROM title t WHERE t.production_year > 2010";
   const char* q1_rewrite =
@@ -64,9 +66,9 @@ int main() {
   const char* q_other =
       "SELECT COUNT(*) FROM movie_companies mc WHERE mc.company_type_id = 1";
   auto embed = [&](const char* sql) {
-    auto enc = model.Encode(sql);
+    auto enc = encoder.TryEncodeVector(sql, /*train=*/false);
     PREQR_CHECK(enc.ok());
-    return enc.value().cls.vec();
+    return enc.value().vec();
   };
   const auto e1 = embed(q1);
   std::printf("\ncosine distance (lower = more similar):\n");
@@ -79,7 +81,6 @@ int main() {
   //    thread-safe front-end with a bounded LRU cache, micro-batching,
   //    per-request deadlines, admission control, and Status errors with
   //    canonical codes instead of crashes on malformed SQL.
-  tasks::PreqrEncoder encoder(&model);
   serving::EncoderService service(&encoder);
   serving::EncodeRequest request;
   request.sql = q1;

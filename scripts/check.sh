@@ -136,10 +136,12 @@ else
   # The kernel-parity suite under each forced impl: PREQR_KERNEL_IMPL must
   # actually steer dispatch, and the per-impl determinism contract must
   # hold whichever table is active. The encode suites re-run under the
-  # scalar table to prove the fallback serves identical Status behavior.
+  # scalar table to prove the fallback serves identical Status behavior
+  # and keeps the B=1-versus-mixed-batch bitwise pins.
   PREQR_KERNEL_IMPL=scalar ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=avx2 ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/nn_ops_grad_test
+  PREQR_KERNEL_IMPL=scalar ./build/tests/batch_invariance_test
   # UBSan over the int8 quantization path and the dispatch plumbing:
   # rounding, packing, and the saturating deadline math must be UB-free.
   cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null

@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 // Invariant-checking macros. A failed check is a programming error and
-// terminates the process; recoverable conditions use Status/Result instead.
+// terminates the process; recoverable conditions use Status/StatusOr instead.
 
 #define PREQR_CHECK(cond)                                                     \
   do {                                                                        \

@@ -70,14 +70,14 @@ class Status {
   std::string message_;
 };
 
-// Result<T> holds either a value or an error Status (absl::StatusOr-like).
+// StatusOr<T> holds either a value or an error Status (absl::StatusOr-like).
 template <typename T>
-class Result {
+class StatusOr {
  public:
-  Result(T value) : data_(std::move(value)) {}          // NOLINT
-  Result(Status status) : data_(std::move(status)) {    // NOLINT
+  StatusOr(T value) : data_(std::move(value)) {}        // NOLINT
+  StatusOr(Status status) : data_(std::move(status)) {  // NOLINT
     PREQR_CHECK_MSG(!std::get<Status>(data_).ok(),
-                    "Result constructed from OK status");
+                    "StatusOr constructed from OK status");
   }
 
   bool ok() const { return std::holds_alternative<T>(data_); }
@@ -101,12 +101,6 @@ class Result {
  private:
   std::variant<T, Status> data_;
 };
-
-// Alias matching the absl spelling. New code (the serving layer and the
-// Status-propagating encoder entry points) uses StatusOr; existing call
-// sites keep Result — the two are the same type.
-template <typename T>
-using StatusOr = Result<T>;
 
 }  // namespace preqr
 

@@ -24,35 +24,24 @@ TrmGLayer::TrmGLayer(const PreqrConfig& config, Rng& rng)
   RegisterChild("fuse_ln", &fuse_ln_);
 }
 
-Tensor TrmGLayer::Forward(const Tensor& e_q,
-                          const Tensor& schema_nodes) const {
+Tensor TrmGLayer::ForwardBatch(const Tensor& e_q, const Tensor& schema_nodes,
+                               const std::vector<int>& lengths) const {
   // Original transformer (Eq. 6).
-  Tensor q = trm_.Forward(e_q);
+  Tensor q = trm_.ForwardBatch(e_q, lengths);
   if (!schema_nodes.defined()) return q;
   // Query-aware sub-graph transformer (Eq. 5, 7): scaled dot-product
   // attention from query tokens onto the schema graph representation e_G,
-  // residual + layer norms + FFN.
-  Tensor attended = graph_attention_.Forward(q, schema_nodes);
-  Tensor e_g = graph_ln1_.Forward(nn::Add(q, attended));
-  e_g = graph_ln2_.Forward(nn::Add(e_g, graph_ffn_.Forward(e_g)));
-  // y = Concat(e_q, e_g) (Eq. 8), projected back to d_model so every
-  // sub-layer keeps output dimension d_model; normalized so downstream
-  // heads see a stable scale across sequence lengths.
-  return fuse_ln_.Forward(fuse_.Forward(nn::ConcatLastDim({q, e_g})));
-}
-
-Tensor TrmGLayer::ForwardBatch(const Tensor& e_q, const Tensor& schema_nodes,
-                               const std::vector<int>& lengths) const {
-  Tensor q = trm_.ForwardBatch(e_q, lengths);
-  if (!schema_nodes.defined()) return q;
-  // Cross attention onto the shared schema nodes needs no mask: every key
-  // is a valid schema vertex, and q's pad rows are exactly zero after the
-  // masked trm_ norms, so they produce finite junk that the masked norms
-  // below re-zero without ever reaching a valid row.
+  // residual + layer norms + FFN. The cross attention needs no mask: every
+  // key is a valid schema vertex, and q's pad rows are exactly zero after
+  // the masked trm_ norms, so they produce finite junk that the masked
+  // norms below re-zero without ever reaching a valid row.
   Tensor attended = graph_attention_.Forward(q, schema_nodes);
   Tensor e_g = graph_ln1_.ForwardMasked(nn::Add(q, attended), lengths);
   e_g = graph_ln2_.ForwardMasked(nn::Add(e_g, graph_ffn_.Forward(e_g)),
                                  lengths);
+  // y = Concat(e_q, e_g) (Eq. 8), projected back to d_model so every
+  // sub-layer keeps output dimension d_model; normalized so downstream
+  // heads see a stable scale across sequence lengths.
   return fuse_ln_.ForwardMasked(fuse_.Forward(nn::ConcatLastDim({q, e_g})),
                                 lengths);
 }
@@ -121,47 +110,6 @@ Tensor PreqrModel::EncodeSchemaNodes(bool with_grad) {
   return h;
 }
 
-Tensor PreqrModel::EmbedInput(const text::SqlTokenizer::Tokenized& tokenized,
-                              const std::vector<int>& override_ids) const {
-  const std::vector<int>& ids =
-      override_ids.empty() ? tokenized.ids : override_ids;
-  const int s = std::min<int>(static_cast<int>(ids.size()),
-                              config_.max_seq_len);
-  std::vector<int> tok_ids(ids.begin(), ids.begin() + s);
-  // SQL state ids via the automaton (Section 3.3.1). [CLS] is the start
-  // state; matching degrades gracefully for unknown structures.
-  std::vector<int> state_ids(static_cast<size_t>(s), 0);
-  if (config_.use_automaton) {
-    std::vector<automaton::Symbol> symbols(
-        tokenized.symbols.begin() + 1,
-        tokenized.symbols.begin() + static_cast<long>(tokenized.symbols.size()));
-    const auto match = fa_->Match(symbols);
-    for (int i = 1; i < s; ++i) {
-      state_ids[static_cast<size_t>(i)] =
-          match.states[static_cast<size_t>(i - 1)] + 1;
-    }
-    state_ids[0] = fa_->start_state() + 1;
-  }
-  std::vector<int> pos_ids(static_cast<size_t>(s));
-  for (int i = 0; i < s; ++i) pos_ids[static_cast<size_t>(i)] = i;
-
-  Tensor tok = token_embedding_.Forward(tok_ids);        // [S, d]
-  Tensor state = state_embedding_.Forward(state_ids);    // [S, ds]
-  Tensor pos = position_embedding_.Forward(pos_ids);     // [S, dp]
-  // Continuous refinement of the range tokens: the value's empirical
-  // quantile in its column's distribution (0 for non-value positions).
-  std::vector<float> quantiles(static_cast<size_t>(s), 0.0f);
-  for (int i = 0; i < s && i < static_cast<int>(tokenized.quantiles.size());
-       ++i) {
-    quantiles[static_cast<size_t>(i)] =
-        tokenized.quantiles[static_cast<size_t>(i)];
-  }
-  Tensor quant = Tensor::FromData({s, 1}, std::move(quantiles));
-  // Composite embedding e(t_i) = (b(t_i), a(t_i), pos(t_i)) (Section 3.3.2).
-  Tensor composite = nn::ConcatLastDim({tok, state, pos, quant});
-  return composite_proj_.Forward(composite);  // [S, d]
-}
-
 Tensor PreqrModel::EmbedInputBatch(
     const text::SqlTokenizer::TokenizedBatch& batch,
     const std::vector<std::vector<int>>& override_ids) const {
@@ -189,8 +137,9 @@ Tensor PreqrModel::EmbedInputBatch(
       std::copy(ids.begin(), ids.begin() + s,
                 tok_ids.begin() + static_cast<long>(off));
     }
-    // SQL state ids, per example, exactly as EmbedInput computes them: the
-    // automaton sees the example's full symbol sequence.
+    // SQL state ids via the automaton (Section 3.3.1), per example: the
+    // automaton sees the example's full symbol sequence, [CLS] is the start
+    // state, and matching degrades gracefully for unknown structures.
     if (config_.use_automaton) {
       const auto& symbols = batch.symbols[static_cast<size_t>(b)];
       std::vector<automaton::Symbol> tail(
@@ -208,8 +157,10 @@ Tensor PreqrModel::EmbedInputBatch(
     }
   }
   // One gather/projection per channel for the whole batch: row-wise ops on
-  // the flattened [B*T, .] views, bitwise-identical per valid row to the
-  // per-example path and B times fewer dispatches.
+  // the flattened [B*T, .] views, so a valid row's bits do not depend on
+  // the batch around it. The quantile channel is the continuous refinement
+  // of range tokens (the value's empirical quantile, 0 elsewhere), and the
+  // composite embedding is e(t_i) = (b(t_i), a(t_i), pos(t_i)) (3.3.2).
   Tensor tok = token_embedding_.Forward(tok_ids);      // [B*T, d]
   Tensor state = state_embedding_.Forward(state_ids);  // [B*T, ds]
   Tensor pos = position_embedding_.Forward(pos_ids);   // [B*T, dp]
@@ -218,23 +169,6 @@ Tensor PreqrModel::EmbedInputBatch(
   Tensor composite = nn::ConcatLastDim({tok, state, pos, quant});
   Tensor h = composite_proj_.Forward(composite);  // [B*T, d]
   return nn::Reshape(h, {bsz, t, config_.d_model});
-}
-
-PreqrModel::Encoding PreqrModel::Forward(
-    const text::SqlTokenizer::Tokenized& tokenized, const Tensor& schema_nodes,
-    const std::vector<int>& masked_ids, Rng* dropout_rng) {
-  Tensor h = EmbedInput(tokenized, masked_ids);
-  h = nn::Dropout(h, config_.dropout, dropout_rng ? *dropout_rng : rng_,
-                  train_mode());
-  const Tensor schema =
-      config_.use_schema ? schema_nodes : Tensor();
-  for (const auto& layer : layers_) {
-    h = layer->Forward(h, schema);
-  }
-  Encoding enc;
-  enc.tokens = h;
-  enc.cls = nn::SliceRows(h, 0, 1);
-  return enc;
 }
 
 Tensor PreqrModel::MlmLogits(const Tensor& token_states) const {
@@ -261,36 +195,11 @@ Tensor PreqrModel::ForwardBatch(
   return h;  // [B, T, d]
 }
 
-Tensor PreqrModel::EncodePrefix(
-    const text::SqlTokenizer::Tokenized& tokenized,
-    const Tensor& schema_nodes_detached) {
-  // The prefix is frozen in the fine-tune-last-layer protocol, so the
-  // embedding + first L-1 layers always run tape-free; the result needs no
-  // copy-out-of-the-tape.
-  nn::NoGradGuard no_grad;
-  Tensor h = EmbedInput(tokenized, {});
-  const Tensor schema = config_.use_schema ? schema_nodes_detached : Tensor();
-  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    h = layers_[l]->Forward(h, schema);
-  }
-  return h;
-}
-
-PreqrModel::Encoding PreqrModel::LastLayer(const Tensor& prefix_states,
-                                           const Tensor& schema_nodes) {
-  const Tensor schema = config_.use_schema ? schema_nodes : Tensor();
-  Tensor h = layers_.back()->Forward(prefix_states, schema);
-  Encoding enc;
-  enc.tokens = h;
-  enc.cls = nn::SliceRows(h, 0, 1);
-  return enc;
-}
-
 Tensor PreqrModel::EncodePrefixBatch(
     const text::SqlTokenizer::TokenizedBatch& batch,
     const Tensor& schema_nodes_detached) {
-  // Frozen prefix, same as EncodePrefix: the whole padded forward runs
-  // tape-free on pooled storage.
+  // The prefix is frozen in the fine-tune-last-layer protocol, so the
+  // whole padded forward runs tape-free on pooled storage.
   nn::NoGradGuard no_grad;
   Tensor h = EmbedInputBatch(batch, {});
   const Tensor schema = config_.use_schema ? schema_nodes_detached : Tensor();
@@ -305,24 +214,6 @@ Tensor PreqrModel::LastLayerBatch(const Tensor& prefix_states,
                                   const std::vector<int>& lengths) {
   const Tensor schema = config_.use_schema ? schema_nodes : Tensor();
   return layers_.back()->ForwardBatch(prefix_states, schema, lengths);
-}
-
-Result<PreqrModel::Encoding> PreqrModel::Encode(const std::string& sql) {
-  auto tokenized = tokenizer_->Tokenize(sql);
-  if (!tokenized.ok()) return tokenized.status();
-  if (!cached_schema_.defined() && config_.use_schema) {
-    cached_schema_ = EncodeSchemaNodes(/*with_grad=*/false);
-  }
-  const bool was_training = train_mode();
-  set_train(false);
-  Encoding enc;
-  {
-    // Inference: no tape, pooled intermediates; outputs are born detached.
-    nn::NoGradGuard no_grad;
-    enc = Forward(tokenized.value(), cached_schema_);
-  }
-  set_train(was_training);
-  return enc;
 }
 
 std::vector<Tensor> PreqrModel::LastLayerParameters() const {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "automaton/fa.h"
-#include "common/status.h"
 #include "core/config.h"
 #include "nn/module.h"
 #include "schema/schema_graph.h"
@@ -22,15 +21,12 @@ class TrmGLayer : public nn::Module {
  public:
   TrmGLayer(const PreqrConfig& config, Rng& rng);
 
-  // e_q: [S, d]; schema_nodes: [N, d] (empty tensor disables the schema
-  // branch, cf. PreQRNT). Returns [S, d].
-  nn::Tensor Forward(const nn::Tensor& e_q,
-                     const nn::Tensor& schema_nodes) const;
-
-  // Padded-batch forward over [B, T, d]: masked self-attention inside trm_,
-  // unmasked cross-attention onto the shared schema nodes (every key is
-  // valid), masked layer norms throughout. Valid rows are bitwise the
-  // single-example Forward; pad rows come out exactly zero.
+  // Padded-batch forward: e_q is [B, T, d] with lengths[b] valid rows per
+  // example; schema_nodes is [N, d] (an empty tensor disables the schema
+  // branch, cf. PreQRNT). Masked self-attention inside trm_, unmasked
+  // cross-attention onto the shared schema nodes (every key is valid),
+  // masked layer norms throughout. Valid rows are bitwise the same example
+  // run at B=1; pad rows come out exactly zero. Returns [B, T, d].
   nn::Tensor ForwardBatch(const nn::Tensor& e_q,
                           const nn::Tensor& schema_nodes,
                           const std::vector<int>& lengths) const;
@@ -54,38 +50,24 @@ class PreqrModel : public nn::Module {
              const automaton::Automaton* fa, const schema::SchemaGraph* graph,
              uint64_t seed = 1234);
 
-  struct Encoding {
-    nn::Tensor tokens;  // [S, d] final token representations
-    nn::Tensor cls;     // [1, d] aggregate representation
-  };
-
   // --- Schema branch ----------------------------------------------------
   // Encodes all schema nodes ([N, d]); call once per training step and
   // share across the batch. With `with_grad=false` the result is detached
   // (used for frozen-encoder fine-tuning and inference).
   nn::Tensor EncodeSchemaNodes(bool with_grad);
 
-  // --- Full forward (pre-training) ---------------------------------------
-  // `masked_ids` may override token ids (MLM); empty = use tokenized ids.
-  // `dropout_rng` overrides the model's internal RNG for the dropout mask;
-  // pass a per-example RNG when running forwards on several threads so the
-  // draw sequence is independent of scheduling (nullptr = internal RNG).
-  Encoding Forward(const text::SqlTokenizer::Tokenized& tokenized,
-                   const nn::Tensor& schema_nodes,
-                   const std::vector<int>& masked_ids = {},
-                   Rng* dropout_rng = nullptr);
-
-  // MLM prediction head over the final token states: [S, vocab] (or
-  // [B, T, vocab] for a batched input — the head is row-wise).
+  // MLM prediction head over the final token states; row-wise, so
+  // [B, T, d] maps to [B, T, vocab].
   nn::Tensor MlmLogits(const nn::Tensor& token_states) const;
 
-  // --- Batched forward ([B, T, d] padded execution) -----------------------
-  // The batch must have been collated with max_len = config().max_seq_len.
-  // Padding invariance: row i < batch.lengths[b] of every output is
-  // bitwise-identical to the same row of the single-query Forward /
-  // EncodePrefix on that example alone; pad rows are exactly zero.
+  // --- Forward ([B, T, d] padded execution) -------------------------------
+  // Every SQLBERT forward runs on a padded batch; a single query is a B=1
+  // batch. The batch must have been collated with max_len =
+  // config().max_seq_len. Padding invariance: row i < batch.lengths[b] of
+  // every output is bitwise-identical to the same row of that example
+  // collated and run alone (B=1); pad rows are exactly zero.
   //
-  // Full forward for the batched MLM step. `masked_ids[b]` (optional)
+  // Full forward for the MLM step. `masked_ids[b]` (optional)
   // overrides example b's token ids; in train mode `dropout_seeds[b]`
   // seeds example b's private dropout stream (the serial RNG pre-pass in
   // the trainer keeps draws independent of scheduling). Returns [B, T, d].
@@ -95,28 +77,15 @@ class PreqrModel : public nn::Module {
                           const std::vector<uint64_t>& dropout_seeds = {});
 
   // --- Split forward (fine-tuning: frozen prefix + trainable last layer) --
-  // Runs embedding + the first L-1 layers without recording gradients.
-  nn::Tensor EncodePrefix(const text::SqlTokenizer::Tokenized& tokenized,
-                          const nn::Tensor& schema_nodes_detached);
-  // Batched counterpart: one tape-free padded forward for the whole batch.
+  // Embedding + the first L-1 layers as one tape-free padded forward.
   // Returns [B, T, d]; slice per example with nn::SliceExample.
   nn::Tensor EncodePrefixBatch(const text::SqlTokenizer::TokenizedBatch& batch,
                                const nn::Tensor& schema_nodes_detached);
-  // Runs the last Trm_g layer (with gradients into its parameters).
-  Encoding LastLayer(const nn::Tensor& prefix_states,
-                     const nn::Tensor& schema_nodes);
-  // Batched last layer over padded prefixes [B, T, d] (lengths[b] valid
-  // rows each). Gradients (train mode) flow into the layer's parameters
-  // exactly as LastLayer's would.
+  // The last Trm_g layer over padded prefixes [B, T, d] (lengths[b] valid
+  // rows each). In train mode gradients flow into the layer's parameters.
   nn::Tensor LastLayerBatch(const nn::Tensor& prefix_states,
                             const nn::Tensor& schema_nodes,
                             const std::vector<int>& lengths);
-
-  // Convenience: tokenize + encode with a cached no-grad schema encoding.
-  Result<Encoding> Encode(const std::string& sql);
-
-  // Invalidate the cached inference schema encoding (after training steps).
-  void InvalidateSchemaCache() { cached_schema_ = nn::Tensor(); }
 
   // --- Parameter groups (Section 3.6 update cases) -------------------------
   std::vector<nn::Tensor> LastLayerParameters() const;   // Case 1
@@ -128,11 +97,9 @@ class PreqrModel : public nn::Module {
   int vocab_size() const { return tokenizer_->vocab().size(); }
 
  private:
-  nn::Tensor EmbedInput(const text::SqlTokenizer::Tokenized& tokenized,
-                        const std::vector<int>& override_ids) const;
-  // Padded batch embedding [B, T, d]: per-example state/position ids are
-  // computed exactly as EmbedInput does, then all channels gather/project
-  // as one [B*T, .] block (row-wise ops, so per-row bits match).
+  // Padded batch embedding [B, T, d]: per-example token/state/position ids
+  // and quantiles, then every channel gathers/projects as one [B*T, .]
+  // block (row-wise ops, so a row's bits do not depend on its neighbors).
   nn::Tensor EmbedInputBatch(const text::SqlTokenizer::TokenizedBatch& batch,
                              const std::vector<std::vector<int>>& override_ids)
       const;
@@ -141,7 +108,7 @@ class PreqrModel : public nn::Module {
   const text::SqlTokenizer* tokenizer_;
   const automaton::Automaton* fa_;
   const schema::SchemaGraph* graph_;
-  mutable Rng rng_;
+  Rng rng_;  // parameter initialization
 
   // Input Embedding.
   nn::Embedding token_embedding_;
@@ -161,8 +128,6 @@ class PreqrModel : public nn::Module {
   // SQLBERT.
   std::vector<std::unique_ptr<TrmGLayer>> layers_;
   nn::Linear mlm_head_;
-
-  nn::Tensor cached_schema_;  // no-grad cache for inference
 };
 
 }  // namespace preqr::core

@@ -344,7 +344,6 @@ std::vector<Pretrainer::EpochStats> Pretrainer::Train(
         // Stop mid-run; ResumeFrom on a checkpoint written here continues
         // exactly where this left off.
         model_.set_train(false);
-        model_.InvalidateSchemaCache();
         return history_;
       }
     }
@@ -359,7 +358,6 @@ std::vector<Pretrainer::EpochStats> Pretrainer::Train(
     }
   }
   model_.set_train(false);
-  model_.InvalidateSchemaCache();
   return history_;
 }
 

@@ -12,7 +12,7 @@ bool Executor::LikeMatch(const std::string& text, const std::string& pattern) {
   return db::LikeMatch(text, pattern);
 }
 
-Result<BoundQuery> Executor::Bind(const SelectStatement& stmt) const {
+StatusOr<BoundQuery> Executor::Bind(const SelectStatement& stmt) const {
   if (stmt.union_next) {
     return Status::InvalidArgument(
         "UNION statements bind per branch, not as one join query");
@@ -22,8 +22,8 @@ Result<BoundQuery> Executor::Bind(const SelectStatement& stmt) const {
   });
 }
 
-Result<ExecResult> Executor::Execute(const SelectStatement& stmt,
-                                     bool collect_root_rows) const {
+StatusOr<ExecResult> Executor::Execute(const SelectStatement& stmt,
+                                       bool collect_root_rows) const {
   // UNION: execute branches, merge root row sets (dedup) when collecting.
   if (stmt.union_next) {
     SelectStatement head = stmt;

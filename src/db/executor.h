@@ -26,12 +26,12 @@ class Executor {
  public:
   explicit Executor(const Database& db) : db_(db) {}
 
-  Result<ExecResult> Execute(const sql::SelectStatement& stmt,
-                             bool collect_root_rows = false) const;
+  StatusOr<ExecResult> Execute(const sql::SelectStatement& stmt,
+                               bool collect_root_rows = false) const;
 
   // Binds a non-UNION statement: resolves tables and predicates, evaluates
   // IN-subqueries, materializes filter bitmaps, validates the join graph.
-  Result<BoundQuery> Bind(const sql::SelectStatement& stmt) const;
+  StatusOr<BoundQuery> Bind(const sql::SelectStatement& stmt) const;
 
   // Executes `stmt` in the explicit left-deep join order `order` (indices
   // into stmt.tables; every prefix must stay connected in the join tree).

@@ -248,8 +248,9 @@ bool PredicatePasses(const Table& table, int col, const Predicate& pred,
   return RowPasses(table, col, pred, row, nullptr);
 }
 
-Result<BoundQuery> BindQuery(const Database& db, const SelectStatement& stmt,
-                             const SubqueryExecFn& exec_subquery) {
+StatusOr<BoundQuery> BindQuery(const Database& db,
+                               const SelectStatement& stmt,
+                               const SubqueryExecFn& exec_subquery) {
   BoundQuery bq;
 
   // Bind tables.

@@ -82,11 +82,11 @@ struct BoundQuery {
 // Executes an IN-subquery statement with collect_root_rows semantics; the
 // executor passes its own recursive Execute here.
 using SubqueryExecFn =
-    std::function<Result<ExecResult>(const sql::SelectStatement&)>;
+    std::function<StatusOr<ExecResult>(const sql::SelectStatement&)>;
 
-Result<BoundQuery> BindQuery(const Database& db,
-                             const sql::SelectStatement& stmt,
-                             const SubqueryExecFn& exec_subquery);
+StatusOr<BoundQuery> BindQuery(const Database& db,
+                               const sql::SelectStatement& stmt,
+                               const SubqueryExecFn& exec_subquery);
 
 // Per-node execution statistics, filled in as the plan runs.
 struct PlanStats {

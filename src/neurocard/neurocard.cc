@@ -61,7 +61,7 @@ NeuroCard::NeuroCard(const db::Database& db, const std::string& root_table,
   }
 }
 
-Result<double> NeuroCard::EstimateCardinality(
+StatusOr<double> NeuroCard::EstimateCardinality(
     const SelectStatement& stmt) const {
   // Collect per-binding filters (predicates with literals).
   struct Bind {

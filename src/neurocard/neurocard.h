@@ -33,7 +33,7 @@ class NeuroCard {
   // Estimates the cardinality of a tree-join COUNT query rooted at the
   // root table (or a single-table query on any table, handled by uniform
   // row sampling).
-  Result<double> EstimateCardinality(const sql::SelectStatement& stmt) const;
+  StatusOr<double> EstimateCardinality(const sql::SelectStatement& stmt) const;
 
   int sample_size() const { return sample_size_; }
 

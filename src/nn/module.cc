@@ -82,10 +82,6 @@ LayerNorm::LayerNorm(int dim) {
   beta_ = RegisterParameter("beta", Tensor::Zeros({dim}));
 }
 
-Tensor LayerNorm::Forward(const Tensor& x) const {
-  return LayerNormOp(x, gamma_, beta_);
-}
-
 Tensor LayerNorm::ForwardMasked(const Tensor& x,
                                 const std::vector<int>& lengths) const {
   return MaskedLayerNorm(x, gamma_, beta_, lengths);
@@ -172,11 +168,6 @@ TransformerEncoderLayer::TransformerEncoderLayer(int dim, int num_heads,
   RegisterChild("ffn", &ffn_);
   RegisterChild("ln1", &ln1_);
   RegisterChild("ln2", &ln2_);
-}
-
-Tensor TransformerEncoderLayer::Forward(const Tensor& x) const {
-  Tensor h = ln1_.Forward(Add(x, attn_.Forward(x, x)));
-  return ln2_.Forward(Add(h, ffn_.Forward(h)));
 }
 
 Tensor TransformerEncoderLayer::ForwardBatch(

@@ -70,9 +70,9 @@ class Embedding : public Module {
 class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
-  Tensor Forward(const Tensor& x) const;
-  // x: [B, T, d] padded batch; valid rows normalize exactly as Forward and
-  // pad rows come out zero (re-zeroing any junk the row-wise ops left).
+  // x: [B, T, d] padded batch; valid rows normalize bitwise as LayerNormOp
+  // does and pad rows come out zero (re-zeroing any junk the row-wise ops
+  // left).
   Tensor ForwardMasked(const Tensor& x, const std::vector<int>& lengths) const;
 
  private:
@@ -90,7 +90,7 @@ class MultiHeadAttention : public Module {
   Tensor Forward(const Tensor& q, const Tensor& kv) const;
   // Masked self-attention over a padded batch [B, T, d]: example b attends
   // over its first lengths[b] positions only; each valid row is bitwise the
-  // single-example Forward(x_b, x_b) result.
+  // op-level Forward(x_b, x_b) result on that example's rows.
   Tensor ForwardBatch(const Tensor& x, const std::vector<int>& lengths) const;
   int num_heads() const { return heads_; }
 
@@ -114,9 +114,9 @@ class FeedForward : public Module {
 class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int dim, int num_heads, int ffn_hidden, Rng& rng);
-  Tensor Forward(const Tensor& x) const;
-  // Padded-batch forward: masked self-attention + masked layer norms, so
-  // outputs carry exact per-example rows and exactly-zero pad rows.
+  // Padded-batch forward over [B, T, d] (a single sequence is B=1): masked
+  // self-attention + masked layer norms, so outputs carry exact
+  // per-example rows and exactly-zero pad rows.
   Tensor ForwardBatch(const Tensor& x, const std::vector<int>& lengths) const;
 
  private:

@@ -23,7 +23,7 @@ bool IsSqlKeyword(const std::string& upper_word) {
          kKeywords.end();
 }
 
-Result<std::vector<Token>> Lex(const std::string& sql) {
+StatusOr<std::vector<Token>> Lex(const std::string& sql) {
   std::vector<Token> tokens;
   size_t i = 0;
   const size_t n = sql.size();

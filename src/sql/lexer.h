@@ -33,7 +33,7 @@ struct Token {
 
 // Tokenizes a SQL string. Keywords are recognized case-insensitively.
 // Returns a trailing kEnd token on success.
-Result<std::vector<Token>> Lex(const std::string& sql);
+StatusOr<std::vector<Token>> Lex(const std::string& sql);
 
 // True if `word` (upper-cased) is a recognized SQL keyword.
 bool IsSqlKeyword(const std::string& upper_word);

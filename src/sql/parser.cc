@@ -28,7 +28,7 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<SelectStatement> ParseStatement() {
+  StatusOr<SelectStatement> ParseStatement() {
     auto stmt = ParseSelect();
     if (!stmt.ok()) return stmt.status();
     if (Peek().IsSymbol(";")) Advance();
@@ -63,7 +63,7 @@ class Parser {
                               ")");
   }
 
-  Result<SelectStatement> ParseSelect() {
+  StatusOr<SelectStatement> ParseSelect() {
     if (depth_ >= kMaxSelectDepth) {
       return Err("SELECT nesting exceeds depth limit " +
                  std::to_string(kMaxSelectDepth));
@@ -74,7 +74,7 @@ class Parser {
     return stmt;
   }
 
-  Result<SelectStatement> ParseSelectImpl() {
+  StatusOr<SelectStatement> ParseSelectImpl() {
     SelectStatement stmt;
     if (!AcceptKeyword("SELECT")) return Err("expected SELECT");
     AcceptKeyword("DISTINCT");  // accepted and normalized away
@@ -162,7 +162,7 @@ class Parser {
     return stmt;
   }
 
-  Result<SelectItem> ParseSelectItem() {
+  StatusOr<SelectItem> ParseSelectItem() {
     SelectItem item;
     const Token& t = Peek();
     auto agg_from_keyword = [](const std::string& kw) {
@@ -197,7 +197,7 @@ class Parser {
     return item;
   }
 
-  Result<TableRef> ParseTableRef() {
+  StatusOr<TableRef> ParseTableRef() {
     if (Peek().type != TokenType::kIdentifier) return Err("expected table name");
     TableRef ref;
     ref.table = Advance().text;
@@ -206,7 +206,7 @@ class Parser {
     return ref;
   }
 
-  Result<ColumnRef> ParseColumnRef() {
+  StatusOr<ColumnRef> ParseColumnRef() {
     if (Peek().type != TokenType::kIdentifier) {
       return Err("expected column name, got '" + Peek().text + "'");
     }
@@ -223,7 +223,7 @@ class Parser {
     return ref;
   }
 
-  Result<Literal> ParseLiteral() {
+  StatusOr<Literal> ParseLiteral() {
     const Token& t = Peek();
     if (t.type == TokenType::kNumber) {
       const Token& tok = Advance();
@@ -239,7 +239,7 @@ class Parser {
     return Err("expected literal, got '" + t.text + "'");
   }
 
-  Result<Predicate> ParsePredicate() {
+  StatusOr<Predicate> ParsePredicate() {
     Predicate pred;
     auto lhs = ParseColumnRef();
     if (!lhs.ok()) return lhs.status();
@@ -322,7 +322,7 @@ class Parser {
 
 }  // namespace
 
-Result<SelectStatement> Parse(const std::string& sql) {
+StatusOr<SelectStatement> Parse(const std::string& sql) {
   auto tokens = Lex(sql);
   if (!tokens.ok()) return tokens.status();
   Parser parser(std::move(tokens.value()));

@@ -12,7 +12,7 @@ namespace preqr::sql {
 // aggregates, implicit and explicit joins, conjunctive WHERE with
 // =/<>/</<=/>/>=/LIKE/IN/BETWEEN, IN-subqueries, UNION, GROUP BY,
 // ORDER BY, LIMIT). Returns a ParseError status on malformed input.
-Result<SelectStatement> Parse(const std::string& sql);
+StatusOr<SelectStatement> Parse(const std::string& sql);
 
 }  // namespace preqr::sql
 

@@ -34,10 +34,6 @@ void PreqrEncoder::BeginStep(bool /*train*/) {
 
 void PreqrEncoder::InvalidateCache() {
   prefix_cache_.Clear();
-  // The model memoizes its own inference schema encoding for Encode();
-  // after a weight change (further pre-training or a hot reload) that
-  // cache is stale too — drop it alongside ours.
-  model_->InvalidateSchemaCache();
   // Re-quantize from the new float weights so the int8 shadows never serve
   // stale values after a reload / further pre-training.
   if (use_int8_) nn::quant::CalibrateModule(*model_);
@@ -46,29 +42,11 @@ void PreqrEncoder::InvalidateCache() {
   }
 }
 
-StatusOr<PreqrEncoder::CachedQuery> PreqrEncoder::Prefix(
-    const std::string& sql) {
-  if (auto hit = prefix_cache_.Get(sql)) return std::move(*hit);
-  CachedQuery entry;
-  Status status = ComputeQuery(sql, &entry);
-  if (!status.ok()) return status;
-  prefix_cache_.Put(sql, entry);
-  return entry;
-}
-
 PreqrEncoder::CachedQuery PreqrEncoder::ZeroEntry() const {
   // A single zero row keeps downstream shapes valid.
   CachedQuery zero;
   zero.prefix = nn::Tensor::Zeros({1, model_->config().d_model});
   return zero;
-}
-
-Status PreqrEncoder::ComputeQuery(const std::string& sql, CachedQuery* out) {
-  auto tokenized = model_->tokenizer().Tokenize(sql);
-  if (!tokenized.ok()) return tokenized.status();
-  out->prefix = model_->EncodePrefix(tokenized.value(), schema_);
-  ExtractStructure(tokenized.value(), out->prefix.dim(0), out);
-  return Status::Ok();
 }
 
 void PreqrEncoder::ExtractStructure(
@@ -150,8 +128,8 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
     serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
     nn::Tensor prefixes = model_->EncodePrefixBatch(batch, schema_);
-    // Slice each example's valid rows back out (tape-free, like the
-    // single-query EncodePrefix results these replace bit for bit).
+    // Slice each example's valid rows back out (tape-free: the cached
+    // prefix never carries autograd history).
     nn::NoGradGuard no_grad;
     for (size_t j = c0; j < c1; ++j) {
       CachedQuery& entry = (*computed)[valid[j]];
@@ -163,51 +141,84 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
   }
 }
 
-nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
-  auto result = TryEncodeVector(sql, train);
-  if (result.ok()) return std::move(result).value();
-  // Legacy fallback for the task loops: malformed queries read out zeros.
-  // No longer silent — counted process-wide, logged once per distinct error.
-  serving::RecordEncodeFallback(result.status().ToString());
-  std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) int8.emplace(true);
+std::vector<StatusOr<PreqrEncoder::CachedQuery>> PreqrEncoder::Lookup(
+    const std::vector<std::string>& sqls) {
+  const size_t n = sqls.size();
+  // Serial cache probe; duplicate misses collapse onto one computation.
+  std::vector<std::optional<CachedQuery>> hit(n);
+  std::vector<int> miss_of(n, -1);
+  std::vector<std::string> miss_sqls;
+  std::unordered_map<std::string, int> miss_index;
+  for (size_t i = 0; i < n; ++i) {
+    if (auto h = prefix_cache_.Get(sqls[i])) {
+      hit[i] = std::move(h);
+      continue;
+    }
+    auto [it, inserted] =
+        miss_index.emplace(sqls[i], static_cast<int>(miss_sqls.size()));
+    if (inserted) miss_sqls.push_back(sqls[i]);
+    miss_of[i] = it->second;
   }
-  model_->set_train(train);
-  nn::Tensor v = ReadOut(ZeroEntry());
-  model_->set_train(false);
-  return v;
-}
-
-StatusOr<nn::Tensor> PreqrEncoder::TryEncodeVector(const std::string& sql,
-                                                   bool train) {
-  // Inference encodes never take gradients; only fine-tuning (train=true)
-  // needs the tape through the last layer's read-out.
-  std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) {
-      int8.emplace(true);
-      serving::RecordInt8Encode();
+  // Missing frozen prefixes: one padded [B, T, d] forward per chunk of
+  // distinct misses (inside, the kernels parallelize over the flattened
+  // rows — far better occupancy than one task per query).
+  std::vector<CachedQuery> computed;
+  std::vector<Status> miss_status;
+  ComputeQueriesBatched(miss_sqls, &computed, &miss_status);
+  // Serial cache insertion in first-occurrence order.
+  for (size_t m = 0; m < miss_sqls.size(); ++m) {
+    if (miss_status[m].ok()) prefix_cache_.Put(miss_sqls[m], computed[m]);
+  }
+  std::vector<StatusOr<CachedQuery>> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (hit[i]) {
+      out.push_back(std::move(*hit[i]));
+      continue;
+    }
+    const auto m = static_cast<size_t>(miss_of[i]);
+    if (miss_status[m].ok()) {
+      out.push_back(computed[m]);
+    } else {
+      out.push_back(miss_status[m]);
     }
   }
-  model_->set_train(train);
-  auto cached = Prefix(sql);
-  if (!cached.ok()) {
-    model_->set_train(false);
-    return cached.status();
-  }
-  nn::Tensor v = ReadOut(cached.value());
-  model_->set_train(false);
-  return v;
+  return out;
 }
 
-nn::Tensor PreqrEncoder::ReadOut(const CachedQuery& cached) {
-  auto enc = model_->LastLayer(cached.prefix, schema_);
-  return PoolReadOut(enc.tokens, cached);
+std::vector<nn::Tensor> PreqrEncoder::FinalTokens(
+    const std::vector<const CachedQuery*>& entries) {
+  // Pad the prefixes into [B, T, d] chunks, run the last Trm_g layer once
+  // per chunk, then slice each entry's valid rows back out. In train mode
+  // the tape runs through the padded pass into the layer's parameters.
+  std::vector<nn::Tensor> out;
+  out.reserve(entries.size());
+  for (size_t c0 = 0; c0 < entries.size(); c0 += kMaxEncodeBatch) {
+    const size_t c1 =
+        std::min(entries.size(), c0 + static_cast<size_t>(kMaxEncodeBatch));
+    std::vector<nn::Tensor> prefixes;
+    std::vector<int> lengths;
+    prefixes.reserve(c1 - c0);
+    lengths.reserve(c1 - c0);
+    uint64_t valid_tokens = 0;
+    int t_max = 0;
+    for (size_t j = c0; j < c1; ++j) {
+      const nn::Tensor& p = entries[j]->prefix;
+      prefixes.push_back(p);
+      lengths.push_back(p.dim(0));
+      valid_tokens += static_cast<uint64_t>(p.dim(0));
+      t_max = std::max(t_max, p.dim(0));
+    }
+    serving::RecordPaddedBatch(static_cast<int>(c1 - c0), t_max,
+                               valid_tokens);
+    nn::Tensor padded = nn::PadExamples(prefixes);
+    nn::Tensor out_batch = model_->LastLayerBatch(padded, schema_, lengths);
+    for (size_t j = c0; j < c1; ++j) {
+      out.push_back(nn::SliceExample(out_batch, static_cast<int>(j - c0),
+                                     lengths[j - c0]));
+    }
+  }
+  return out;
 }
 
 nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
@@ -243,8 +254,8 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
   return nn::ConcatLastDim({cls, mean, span_mean, span_max, tabs});
 }
 
-std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
-    const std::vector<std::string>& sqls, bool train) {
+std::vector<StatusOr<nn::Tensor>> PreqrEncoder::EncodeBatch(
+    const std::vector<std::string>& sqls, bool train, bool zero_fallback) {
   // Inference batches opt the whole encode (frozen prefix computation and
   // the read-out below) into the int8 path. The guard is thread-local and
   // every op dispatches on this thread — kernels only fan *loops* out to
@@ -255,113 +266,67 @@ std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
     serving::RecordInt8Encode();
   }
   model_->set_train(train);
-  const size_t n = sqls.size();
-  // Serial cache probe; duplicate misses collapse onto one computation.
-  std::vector<std::optional<CachedQuery>> hit(n);
-  std::vector<int> miss_of(n, -1);
-  std::vector<std::string> miss_sqls;
-  std::unordered_map<std::string, int> miss_index;
-  for (size_t i = 0; i < n; ++i) {
-    if (auto h = prefix_cache_.Get(sqls[i])) {
-      hit[i] = std::move(h);
+  auto looked_up = Lookup(sqls);
+  std::optional<CachedQuery> zero;  // built on the first fallback
+  std::vector<const CachedQuery*> entries;
+  std::vector<size_t> slots;
+  entries.reserve(sqls.size());
+  slots.reserve(sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    if (looked_up[i].ok()) {
+      entries.push_back(&looked_up[i].value());
+    } else if (zero_fallback) {
+      // Legacy fallback for the task loops: malformed queries read out
+      // zeros. Not silent — counted process-wide, logged once per distinct
+      // error.
+      serving::RecordEncodeFallback(looked_up[i].status().ToString());
+      if (!zero) zero = ZeroEntry();
+      entries.push_back(&*zero);
+    } else {
       continue;
     }
-    auto [it, inserted] =
-        miss_index.emplace(sqls[i], static_cast<int>(miss_sqls.size()));
-    if (inserted) miss_sqls.push_back(sqls[i]);
-    miss_of[i] = it->second;
+    slots.push_back(i);
   }
-  // Missing frozen prefixes: one padded [B, T, d] forward per chunk of
-  // distinct misses (inside, the kernels parallelize over the flattened
-  // rows — far better occupancy than one task per query).
-  std::vector<CachedQuery> computed;
-  std::vector<Status> miss_status;
-  ComputeQueriesBatched(miss_sqls, &computed, &miss_status);
-  // Serial cache insertion in first-occurrence order.
-  for (size_t m = 0; m < miss_sqls.size(); ++m) {
-    if (miss_status[m].ok()) prefix_cache_.Put(miss_sqls[m], computed[m]);
-  }
-  // Resolve each slot's entry: cache hit, freshly computed, or error.
-  std::vector<const CachedQuery*> entries(n, nullptr);
-  std::vector<size_t> slots;
-  slots.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (hit[i]) {
-      entries[i] = &*hit[i];
-    } else if (miss_status[static_cast<size_t>(miss_of[i])].ok()) {
-      entries[i] = &computed[static_cast<size_t>(miss_of[i])];
-    }
-    if (entries[i] != nullptr) slots.push_back(i);
-  }
-  // Batched read-out: pad the resolved prefixes into [B, T, d] chunks, run
-  // the last Trm_g layer once per chunk, then slice and pool per slot. In
-  // train mode the tape runs through the padded pass, so last-layer
-  // parameter gradients match the per-query ReadOut sum.
-  std::vector<nn::Tensor> tensors(n);
+  // Inference encodes never take gradients; only fine-tuning (train=true)
+  // needs the tape through the last layer's read-out.
   std::optional<nn::NoGradGuard> no_grad;
   if (!train) no_grad.emplace();
-  for (size_t c0 = 0; c0 < slots.size(); c0 += kMaxEncodeBatch) {
-    const size_t c1 =
-        std::min(slots.size(), c0 + static_cast<size_t>(kMaxEncodeBatch));
-    std::vector<nn::Tensor> prefixes;
-    std::vector<int> lengths;
-    prefixes.reserve(c1 - c0);
-    lengths.reserve(c1 - c0);
-    uint64_t valid_tokens = 0;
-    int t_max = 0;
-    for (size_t j = c0; j < c1; ++j) {
-      const nn::Tensor& p = entries[slots[j]]->prefix;
-      prefixes.push_back(p);
-      lengths.push_back(p.dim(0));
-      valid_tokens += static_cast<uint64_t>(p.dim(0));
-      t_max = std::max(t_max, p.dim(0));
-    }
-    serving::RecordPaddedBatch(static_cast<int>(c1 - c0), t_max,
-                               valid_tokens);
-    nn::Tensor padded = nn::PadExamples(prefixes);
-    nn::Tensor out_batch = model_->LastLayerBatch(padded, schema_, lengths);
-    for (size_t j = c0; j < c1; ++j) {
-      tensors[slots[j]] = PoolReadOut(
-          nn::SliceExample(out_batch, static_cast<int>(j - c0),
-                           lengths[j - c0]),
-          *entries[slots[j]]);
+  const std::vector<nn::Tensor> tokens = FinalTokens(entries);
+  std::vector<StatusOr<nn::Tensor>> out;
+  out.reserve(sqls.size());
+  for (size_t i = 0, k = 0; i < sqls.size(); ++i) {
+    if (k < slots.size() && slots[k] == i) {
+      out.push_back(PoolReadOut(tokens[k], *entries[k]));
+      ++k;
+    } else {
+      out.push_back(looked_up[i].status());
     }
   }
   model_->set_train(false);
-  std::vector<StatusOr<nn::Tensor>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (tensors[i].defined()) {
-      out.push_back(std::move(tensors[i]));
-    } else {
-      out.push_back(miss_status[static_cast<size_t>(miss_of[i])]);
-    }
-  }
   return out;
+}
+
+std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
+    const std::vector<std::string>& sqls, bool train) {
+  return EncodeBatch(sqls, train, /*zero_fallback=*/false);
+}
+
+StatusOr<nn::Tensor> PreqrEncoder::TryEncodeVector(const std::string& sql,
+                                                   bool train) {
+  return std::move(TryEncodeVectorBatch({sql}, train)[0]);
 }
 
 std::vector<nn::Tensor> PreqrEncoder::EncodeVectorBatch(
     const std::vector<std::string>& sqls, bool train) {
-  auto results = TryEncodeVectorBatch(sqls, train);
+  auto results = EncodeBatch(sqls, train, /*zero_fallback=*/true);
   std::vector<nn::Tensor> out;
   out.reserve(results.size());
-  for (auto& r : results) {
-    if (r.ok()) {
-      out.push_back(std::move(r).value());
-    } else {
-      serving::RecordEncodeFallback(r.status().ToString());
-      std::optional<nn::NoGradGuard> no_grad;
-      std::optional<nn::quant::Int8Guard> int8;
-      if (!train) {
-        no_grad.emplace();
-        if (use_int8_) int8.emplace(true);
-      }
-      model_->set_train(train);
-      out.push_back(ReadOut(ZeroEntry()));
-      model_->set_train(false);
-    }
-  }
+  for (auto& r : results) out.push_back(std::move(r).value());
   return out;
+}
+
+nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
+  return std::move(EncodeVectorBatch({sql}, train)[0]);
 }
 
 nn::Tensor PreqrEncoder::EncodeSequence(const std::string& sql, bool train) {
@@ -375,12 +340,13 @@ nn::Tensor PreqrEncoder::EncodeSequence(const std::string& sql, bool train) {
     }
   }
   model_->set_train(train);
-  auto cached = Prefix(sql);
+  auto cached = std::move(Lookup({sql})[0]);
   if (!cached.ok()) serving::RecordEncodeFallback(cached.status().ToString());
-  auto enc = model_->LastLayer(
-      cached.ok() ? cached.value().prefix : ZeroEntry().prefix, schema_);
+  const CachedQuery entry =
+      cached.ok() ? std::move(cached).value() : ZeroEntry();
+  nn::Tensor tokens = std::move(FinalTokens({&entry})[0]);
   model_->set_train(false);
-  return enc.tokens;  // [S, d]
+  return tokens;  // [S, d]
 }
 
 std::vector<nn::Tensor> PreqrEncoder::TrainableParameters() {

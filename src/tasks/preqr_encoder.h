@@ -36,23 +36,25 @@ class PreqrEncoder : public baselines::QueryEncoder,
   explicit PreqrEncoder(core::PreqrModel* model);
   PreqrEncoder(core::PreqrModel* model, Options options);
 
+  // Every encode runs the padded [B, T, d] path; the single-query entry
+  // points are B=1 batches. Malformed SQL reads out the zero entry
+  // (counted, logged once per distinct error) for the task loops.
   nn::Tensor EncodeVector(const std::string& sql, bool train) override;
   nn::Tensor EncodeSequence(const std::string& sql, bool train) override;
+  std::vector<nn::Tensor> EncodeVectorBatch(
+      const std::vector<std::string>& sqls, bool train) override;
   // Status-propagating entry points: malformed SQL returns the parse error
-  // instead of the zero fallback that EncodeVector keeps for the task
-  // loops.
+  // instead of the zero fallback.
   StatusOr<nn::Tensor> TryEncodeVector(const std::string& sql,
                                        bool train) override;
-  // Batched entry point: missing frozen prefixes and the per-query
-  // read-outs run as genuine padded [B, T, d] forwards (chunks of up to
-  // kMaxEncodeBatch queries); duplicate queries collapse onto one prefix
-  // computation. Output i is bitwise-identical to
-  // TryEncodeVector(sqls[i], train) at any batch composition — the batched
-  // kernels partition per example, so neighbors (including malformed ones)
-  // cannot change a query's bits (pinned by batch_invariance_test).
+  // Missing frozen prefixes and the per-query read-outs run as genuine
+  // padded [B, T, d] forwards (chunks of up to kMaxEncodeBatch queries);
+  // duplicate queries collapse onto one prefix computation. Output i is
+  // bitwise-identical to TryEncodeVector(sqls[i], train) at any batch
+  // composition — the batched kernels partition per example, so neighbors
+  // (including malformed ones) cannot change a query's bits (pinned by
+  // batch_invariance_test).
   std::vector<StatusOr<nn::Tensor>> TryEncodeVectorBatch(
-      const std::vector<std::string>& sqls, bool train) override;
-  std::vector<nn::Tensor> EncodeVectorBatch(
       const std::vector<std::string>& sqls, bool train) override;
   std::vector<nn::Tensor> TrainableParameters() override;
   // Structured read-out: [CLS ; mean(all) ; mean-of-span-means ;
@@ -89,12 +91,11 @@ class PreqrEncoder : public baselines::QueryEncoder,
     std::vector<std::vector<int>> predicate_spans;
     std::vector<int> table_rows;
   };
-  // Cache-through lookup: returns the cached entry or computes + inserts
-  // it; malformed queries propagate the parse error.
-  StatusOr<CachedQuery> Prefix(const std::string& sql);
-  // Computes the frozen prefix + span structure for one query without
-  // touching the cache (safe to call from several threads at once).
-  Status ComputeQuery(const std::string& sql, CachedQuery* out);
+  // Cache-through lookup for a batch: hits come from the prefix cache,
+  // distinct misses are computed by ComputeQueriesBatched and inserted in
+  // first-occurrence order; malformed queries carry their parse error.
+  std::vector<StatusOr<CachedQuery>> Lookup(
+      const std::vector<std::string>& sqls);
   // Span/table structure from the automaton symbolization over the first
   // `s` (possibly clipped) token positions.
   static void ExtractStructure(const text::SqlTokenizer::Tokenized& tokenized,
@@ -105,11 +106,18 @@ class PreqrEncoder : public baselines::QueryEncoder,
   void ComputeQueriesBatched(const std::vector<std::string>& sqls,
                              std::vector<CachedQuery>* computed,
                              std::vector<Status>* status);
-  // The structured read-out over one cached query (no set_train calls).
-  nn::Tensor ReadOut(const CachedQuery& cached);
-  // Pooling half of ReadOut, over already-computed final token states.
+  // Shared body of the vector entry points. With `zero_fallback`, a
+  // malformed query reads out ZeroEntry() instead of returning its Status.
+  std::vector<StatusOr<nn::Tensor>> EncodeBatch(
+      const std::vector<std::string>& sqls, bool train, bool zero_fallback);
+  // Final token states [len, d] of each entry: the last Trm_g layer over
+  // padded [B, T, d] chunks, sliced back per entry (no guards or set_train
+  // calls).
+  std::vector<nn::Tensor> FinalTokens(
+      const std::vector<const CachedQuery*>& entries);
+  // The structured read-out over one query's final token states.
   nn::Tensor PoolReadOut(const nn::Tensor& tokens, const CachedQuery& cached);
-  // Zero-row entry used by the legacy fallback for malformed queries.
+  // Zero-row entry used by the fallback for malformed queries.
   CachedQuery ZeroEntry() const;
 
   core::PreqrModel* model_;

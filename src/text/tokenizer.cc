@@ -147,7 +147,7 @@ std::string SqlTokenizer::StringToken(const std::string& table,
   return vocab_.Contains(bucket) ? bucket : "[STR]";
 }
 
-Result<SqlTokenizer::Tokenized> SqlTokenizer::Tokenize(
+StatusOr<SqlTokenizer::Tokenized> SqlTokenizer::Tokenize(
     const std::string& sql) const {
   auto lexed = sql::Lex(sql);
   if (!lexed.ok()) return lexed.status();

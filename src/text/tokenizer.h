@@ -41,7 +41,7 @@ class SqlTokenizer {
   };
 
   // Tokenizes a query. Parse failures propagate as errors.
-  Result<Tokenized> Tokenize(const std::string& sql) const;
+  StatusOr<Tokenized> Tokenize(const std::string& sql) const;
 
   // A padded batch of tokenized queries in [B, T_max] row-major layout:
   // example b is valid at positions [0, lengths[b]) and padded with kPadId

@@ -41,7 +41,7 @@ Status Vocab::Save(const std::string& path) const {
   return Status::Ok();
 }
 
-Result<Vocab> Vocab::Load(const std::string& path) {
+StatusOr<Vocab> Vocab::Load(const std::string& path) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "r"), &std::fclose);
   if (!f) return Status::NotFound("cannot open " + path);

@@ -31,7 +31,7 @@ class Vocab {
   int size() const { return static_cast<int>(tokens_.size()); }
 
   Status Save(const std::string& path) const;
-  static Result<Vocab> Load(const std::string& path);
+  static StatusOr<Vocab> Load(const std::string& path);
 
  private:
   std::vector<std::string> tokens_;

@@ -5,6 +5,7 @@
 // this holds exactly; these tests are the contract's pin.
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,9 +64,9 @@ void ExpectBitwiseEqual(const std::vector<float>& a,
       << what << ": bitwise mismatch";
 }
 
-// ForwardBatch row b/i must carry exactly the bits Forward produces on that
-// example alone, and every pad row must be exactly zero (the guarantee that
-// keeps junk out of downstream reductions).
+// ForwardBatch row b/i must carry exactly the bits the B=1 ForwardBatch
+// produces on that example alone, and every pad row must be exactly zero
+// (the guarantee that keeps junk out of downstream reductions).
 TEST(BatchInvarianceTest, ModelForwardBatchMatchesPerQueryRows) {
   PreqrModel model = E().MakeModel();
   model.set_train(false);
@@ -87,8 +88,9 @@ TEST(BatchInvarianceTest, ModelForwardBatchMatchesPerQueryRows) {
   const int d = model.config().d_model;
   for (int b = 0; b < batch.batch_size; ++b) {
     const int len = batch.lengths[static_cast<size_t>(b)];
-    auto single = model.Forward(toks[static_cast<size_t>(b)], schema);
-    ExpectBitwiseEqual(single.tokens.vec(),
+    const auto one = text::SqlTokenizer::Collate(
+        {&toks[static_cast<size_t>(b)]}, model.config().max_seq_len);
+    ExpectBitwiseEqual(model.ForwardBatch(one, schema).vec(),
                        nn::SliceExample(out, b, len).vec(),
                        "ForwardBatch valid rows");
     // Pad rows: exactly zero, every float.
@@ -207,6 +209,35 @@ TEST(BatchInvarianceTest, MalformedMemberDoesNotPoisonNeighbors) {
   nn::Tensor zero_readout = single.EncodeVector(sqls[2], /*train=*/false);
   ExpectBitwiseEqual(zero_readout.vec(), with_fallback[2].vec(),
                      "zero fallback readout");
+}
+
+// A query that tokenizes past max_seq_len is clipped to it, both alone and
+// in the middle of a batch next to short neighbors; the clipped encode
+// keeps its bits and its read-out width.
+TEST(BatchInvarianceTest, OverlongQueryClipsIdenticallyAloneAndInBatch) {
+  PreqrModel model = E().MakeModel();
+  std::string in_list;
+  for (int v = 1; v <= 400; ++v) {
+    if (v > 1) in_list += ", ";
+    in_list += std::to_string(v);
+  }
+  const std::string overlong =
+      "SELECT COUNT(*) FROM title t WHERE t.kind_id IN (" + in_list + ")";
+  auto tokenized = model.tokenizer().Tokenize(overlong);
+  ASSERT_TRUE(tokenized.ok());
+  ASSERT_GT(static_cast<int>(tokenized.value().ids.size()),
+            model.config().max_seq_len);
+  tasks::PreqrEncoder single(&model);
+  auto alone = single.TryEncodeVector(overlong, /*train=*/false);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  EXPECT_EQ(alone.value().size(), single.dim());
+  tasks::PreqrEncoder batched(&model);
+  auto results = batched.TryEncodeVectorBatch(
+      {E().corpus[0], overlong, E().corpus[1]}, /*train=*/false);
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
+  ExpectBitwiseEqual(alone.value().vec(), results[1].value().vec(),
+                     "overlong query alone vs mid-batch");
 }
 
 // Fine-tune mode (train=true, tape on through the padded last layer) must

@@ -22,13 +22,13 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(7);
+  StatusOr<int> r(7);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 7);
 }
 
 TEST(ResultTest, HoldsError) {
-  Result<int> r(Status::NotFound("nope"));
+  StatusOr<int> r(Status::NotFound("nope"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }

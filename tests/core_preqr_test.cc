@@ -58,18 +58,26 @@ TEST(PreqrModelTest, SchemaNodesShape) {
   EXPECT_TRUE(schema_grad.requires_grad());
 }
 
+// One query as a B=1 padded batch — the only forward the model has.
+text::SqlTokenizer::TokenizedBatch CollateOne(
+    const text::SqlTokenizer::Tokenized& tokenized, const PreqrModel& model) {
+  return text::SqlTokenizer::Collate({&tokenized}, model.config().max_seq_len);
+}
+
 TEST(PreqrModelTest, ForwardShapes) {
   PreqrModel model = E().MakeModel();
+  model.set_train(false);  // train-mode dropout needs per-example seeds
   auto tokenized = E().tokenizer->Tokenize(E().corpus[0]);
   ASSERT_TRUE(tokenized.ok());
   nn::Tensor schema = model.EncodeSchemaNodes(false);
-  auto enc = model.Forward(tokenized.value(), schema);
-  EXPECT_EQ(enc.tokens.dim(0),
-            static_cast<int>(tokenized.value().ids.size()));
-  EXPECT_EQ(enc.tokens.dim(1), 32);
-  EXPECT_EQ(enc.cls.dim(0), 1);
-  nn::Tensor logits = model.MlmLogits(enc.tokens);
-  EXPECT_EQ(logits.dim(1), model.vocab_size());
+  nn::Tensor tokens =
+      model.ForwardBatch(CollateOne(tokenized.value(), model), schema);
+  ASSERT_EQ(tokens.ndim(), 3);
+  EXPECT_EQ(tokens.dim(0), 1);
+  EXPECT_EQ(tokens.dim(1), static_cast<int>(tokenized.value().ids.size()));
+  EXPECT_EQ(tokens.dim(2), 32);
+  nn::Tensor logits = model.MlmLogits(tokens);
+  EXPECT_EQ(logits.dim(2), model.vocab_size());
 }
 
 TEST(PreqrModelTest, AblationFlagsChangeOutputs) {
@@ -80,12 +88,14 @@ TEST(PreqrModelTest, AblationFlagsChangeOutputs) {
   PreqrModel full = E().MakeModel();
   PreqrModel no_auto = E().MakeModel(na);
   PreqrModel no_trm = E().MakeModel(nt);
+  no_trm.set_train(false);
   auto tokenized = E().tokenizer->Tokenize(E().corpus[0]);
   ASSERT_TRUE(tokenized.ok());
   // The NT variant ignores schema nodes entirely.
   nn::Tensor schema = no_trm.EncodeSchemaNodes(false);
-  auto enc = no_trm.Forward(tokenized.value(), nn::Tensor());
-  EXPECT_EQ(enc.tokens.dim(1), 32);
+  nn::Tensor tokens = no_trm.ForwardBatch(
+      CollateOne(tokenized.value(), no_trm), nn::Tensor());
+  EXPECT_EQ(tokens.dim(2), 32);
   (void)schema;
   (void)full;
   (void)no_auto;
@@ -97,12 +107,13 @@ TEST(PreqrModelTest, PrefixPlusLastLayerMatchesFullForward) {
   auto tokenized = E().tokenizer->Tokenize(E().corpus[1]);
   ASSERT_TRUE(tokenized.ok());
   nn::Tensor schema = model.EncodeSchemaNodes(false);
-  auto full = model.Forward(tokenized.value(), schema);
-  nn::Tensor prefix = model.EncodePrefix(tokenized.value(), schema);
-  auto split = model.LastLayer(prefix, schema);
-  ASSERT_EQ(full.tokens.size(), split.tokens.size());
-  for (nn::Index i = 0; i < full.tokens.size(); ++i) {
-    EXPECT_NEAR(full.tokens.at(i), split.tokens.at(i), 1e-4f);
+  const auto batch = CollateOne(tokenized.value(), model);
+  nn::Tensor full = model.ForwardBatch(batch, schema);
+  nn::Tensor prefix = model.EncodePrefixBatch(batch, schema);
+  nn::Tensor split = model.LastLayerBatch(prefix, schema, batch.lengths);
+  ASSERT_EQ(full.size(), split.size());
+  for (nn::Index i = 0; i < full.size(); ++i) {
+    EXPECT_NEAR(full.at(i), split.at(i), 1e-4f);
   }
 }
 
@@ -143,10 +154,11 @@ TEST(PretrainerTest, EvaluateRuns) {
 
 TEST(PreqrModelTest, EncodeConvenience) {
   PreqrModel model = E().MakeModel();
-  auto enc = model.Encode(E().corpus[0]);
+  tasks::PreqrEncoder encoder(&model);
+  auto enc = encoder.TryEncodeVector(E().corpus[0], /*train=*/false);
   ASSERT_TRUE(enc.ok());
-  EXPECT_EQ(enc.value().cls.dim(1), 32);
-  EXPECT_FALSE(model.Encode("not a query !!").ok());
+  EXPECT_EQ(enc.value().dim(1), encoder.dim());
+  EXPECT_FALSE(encoder.TryEncodeVector("not a query !!", false).ok());
 }
 
 TEST(PreqrModelTest, SaveLoadRoundTrip) {
@@ -155,12 +167,14 @@ TEST(PreqrModelTest, SaveLoadRoundTrip) {
   const std::string path = testing::TempDir() + "/preqr_model.bin";
   ASSERT_TRUE(nn::SaveModule(a, path).ok());
   ASSERT_TRUE(nn::LoadModule(b, path).ok());
-  auto ea = a.Encode(E().corpus[0]);
-  auto eb = b.Encode(E().corpus[0]);
+  tasks::PreqrEncoder enc_a(&a);
+  tasks::PreqrEncoder enc_b(&b);
+  auto ea = enc_a.TryEncodeVector(E().corpus[0], /*train=*/false);
+  auto eb = enc_b.TryEncodeVector(E().corpus[0], /*train=*/false);
   ASSERT_TRUE(ea.ok());
   ASSERT_TRUE(eb.ok());
-  for (nn::Index i = 0; i < ea.value().cls.size(); ++i) {
-    EXPECT_FLOAT_EQ(ea.value().cls.at(i), eb.value().cls.at(i));
+  for (nn::Index i = 0; i < ea.value().size(); ++i) {
+    EXPECT_FLOAT_EQ(ea.value().at(i), eb.value().at(i));
   }
   std::remove(path.c_str());
 }

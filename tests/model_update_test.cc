@@ -39,6 +39,17 @@ PreqrConfig SmallConfig() {
   return config;
 }
 
+// Reconstruction loss of one query's own token ids from its B=1 final
+// token states [1, T, d].
+nn::Tensor TokenLoss(const PreqrModel& model, const nn::Tensor& tokens,
+                     const std::vector<int>& ids) {
+  const int t = tokens.dim(1);
+  nn::Tensor logits =
+      nn::Reshape(model.MlmLogits(tokens), {t, model.vocab_size()});
+  std::vector<int> targets(ids.begin(), ids.begin() + t);
+  return nn::CrossEntropy(logits, targets, -1);
+}
+
 // Case 1: incremental last-layer training reduces MLM loss without
 // touching the rest of the model.
 TEST(ModelUpdateTest, Case1LastLayerIncrementalTraining) {
@@ -53,12 +64,11 @@ TEST(ModelUpdateTest, Case1LastLayerIncrementalTraining) {
   nn::Tensor schema = model.EncodeSchemaNodes(false);
   auto loss_of = [&](const std::string& sql) {
     auto tokenized = env.tokenizer->Tokenize(sql);
-    nn::Tensor prefix = model.EncodePrefix(tokenized.value(), schema);
-    auto enc = model.LastLayer(prefix, schema);
-    nn::Tensor logits = model.MlmLogits(enc.tokens);
-    std::vector<int> targets(tokenized.value().ids.begin(),
-                             tokenized.value().ids.begin() + logits.dim(0));
-    return nn::CrossEntropy(logits, targets, -1);
+    const auto batch = text::SqlTokenizer::Collate(
+        {&tokenized.value()}, model.config().max_seq_len);
+    nn::Tensor prefix = model.EncodePrefixBatch(batch, schema);
+    nn::Tensor tokens = model.LastLayerBatch(prefix, schema, batch.lengths);
+    return TokenLoss(model, tokens, tokenized.value().ids);
   };
   const double initial = loss_of(env.corpus[0]).item();
   for (int step = 0; step < 30; ++step) {
@@ -116,11 +126,10 @@ TEST(ModelUpdateTest, Case3NewQueryPatterns) {
       "t.id = mk.movie_id AND mk.keyword_id IN (1,2,3)";
   auto loss_of = [&] {
     auto tokenized = env.tokenizer->Tokenize(new_pattern);
-    auto enc = model.Forward(tokenized.value(), schema);
-    nn::Tensor logits = model.MlmLogits(enc.tokens);
-    std::vector<int> targets(tokenized.value().ids.begin(),
-                             tokenized.value().ids.begin() + logits.dim(0));
-    return nn::CrossEntropy(logits, targets, -1);
+    const auto batch = text::SqlTokenizer::Collate(
+        {&tokenized.value()}, model.config().max_seq_len);
+    return TokenLoss(model, model.ForwardBatch(batch, schema),
+                     tokenized.value().ids);
   };
   model.set_train(false);
   const double initial = loss_of().item();

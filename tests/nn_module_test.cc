@@ -40,8 +40,8 @@ TEST(EmbeddingTest, LookupMatchesWeightRows) {
 TEST(LayerNormTest, NormalizesRows) {
   LayerNorm ln(8);
   Rng rng(3);
-  Tensor x = Tensor::Randn({4, 8}, rng, 3.0f);
-  Tensor y = ln.Forward(x);
+  Tensor x = Tensor::Randn({1, 4, 8}, rng, 3.0f);
+  Tensor y = ln.ForwardMasked(x, {4});
   for (int r = 0; r < 4; ++r) {
     float mean = 0.0f, var = 0.0f;
     for (int c = 0; c < 8; ++c) mean += y.at(r * 8 + c);
@@ -78,8 +78,8 @@ TEST(MultiHeadAttentionTest, CrossAttentionDifferentLengths) {
 TEST(TransformerLayerTest, ShapePreserved) {
   Rng rng(5);
   TransformerEncoderLayer layer(16, 4, 32, rng);
-  Tensor x = Tensor::Randn({7, 16}, rng, 1.0f);
-  Tensor y = layer.Forward(x);
+  Tensor x = Tensor::Randn({1, 7, 16}, rng, 1.0f);
+  Tensor y = layer.ForwardBatch(x, {7});
   EXPECT_EQ(y.shape(), x.shape());
 }
 
@@ -243,12 +243,12 @@ TEST(ModuleTest, TrainingEndToEndThroughTransformer) {
   auto hp = head.Parameters();
   params.insert(params.end(), hp.begin(), hp.end());
   Adam opt(params, 1e-2f);
-  Tensor x = Tensor::Randn({4, 8}, rng, 1.0f);
+  Tensor x = Tensor::Randn({1, 4, 8}, rng, 1.0f);
   const std::vector<float> target = {1.0f};
   float first = -1, last = -1;
   for (int step = 0; step < 200; ++step) {
     opt.ZeroGrad();
-    Tensor enc = layer.Forward(x);
+    Tensor enc = Reshape(layer.ForwardBatch(x, {4}), {4, 8});
     Tensor pooled = Reshape(MeanRows(enc), {1, 8});
     Tensor loss = MseLoss(head.Forward(pooled), target);
     loss.Backward();

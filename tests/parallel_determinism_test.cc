@@ -69,11 +69,16 @@ TEST(ParallelDeterminismTest, EncoderForwardBitwiseIdenticalAcrossThreads) {
   for (int threads : kThreadCounts) {
     ThreadPool::SetGlobalThreads(threads);
     PreqrModel model = E().MakeModel();
+    model.set_train(false);
+    nn::NoGradGuard no_grad;
+    const nn::Tensor schema = model.EncodeSchemaNodes(/*with_grad=*/false);
     std::vector<std::vector<float>> outputs;
     for (const auto& sql : E().corpus) {
-      auto enc = model.Encode(sql);
-      ASSERT_TRUE(enc.ok());
-      outputs.push_back(enc.value().tokens.vec());
+      auto tokenized = model.tokenizer().Tokenize(sql);
+      ASSERT_TRUE(tokenized.ok());
+      const auto batch = text::SqlTokenizer::Collate(
+          {&tokenized.value()}, model.config().max_seq_len);
+      outputs.push_back(model.ForwardBatch(batch, schema).vec());
     }
     per_threads.push_back(std::move(outputs));
   }

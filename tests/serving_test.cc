@@ -96,7 +96,7 @@ TEST(EncoderServiceTest, EncodeMatchesUnderlyingEncoderBitwise) {
 }
 
 // Regression: garbage SQL must propagate a Status end-to-end (tokenizer →
-// PreqrEncoder::ComputeQuery → EncoderService) — no CHECK crash, no zero
+// PreqrEncoder::Lookup → EncoderService) — no CHECK crash, no zero
 // vector masquerading as an embedding.
 TEST(EncoderServiceTest, MalformedSqlReturnsStatusEndToEnd) {
   auto model = E().MakeModel();
