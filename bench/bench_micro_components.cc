@@ -415,6 +415,61 @@ void BM_EncodeNoGradInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeNoGradInt8);
 
+// The encode path's GEMM shape: 34 token rows of width 64 against a
+// [64, n] weight, n swept over the model's output widths (d_model, the
+// schema node count, the FFN width). Runs the active table's kernel, so
+// the AVX2 row blocking (64-, 32-, 8-wide and masked tail) shows here.
+void BM_MatMulRow(benchmark::State& state) {
+  const int m = 34, k = 64;
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(17);
+  std::vector<float> a(static_cast<size_t>(m) * k);
+  std::vector<float> b(static_cast<size_t>(k) * n);
+  std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
+  for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
+  for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
+  const nn::kernels::KernelTable& table = nn::kernels::Active();
+  for (auto _ : state) {
+    std::fill(out.begin(), out.end(), 0.0f);
+    table.MatMulForward(a.data(), b.data(), out.data(), m, k, n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(table.name);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
+}
+BENCHMARK(BM_MatMulRow)->Arg(64)->Arg(92)->Arg(128);
+
+// One Trm_g layer's schema cross attention at the serving shape: a B=1
+// batch of T=34 query rows attending over N=92 schema nodes (d=64, 4
+// heads), inference mode. "Fresh" projects the schema's keys/values on
+// every call (Forward); "Memo" attends to keys/values projected once, as
+// PreqrEncoder does (bitwise the same result).
+void SchemaCrossAttentionBench(benchmark::State& state, bool memo) {
+  const int t = 34, n = 92, d = 64;
+  Rng rng(18);
+  nn::MultiHeadAttention attn(d, 4, rng);
+  attn.set_train(false);
+  nn::NoGradGuard no_grad;
+  const nn::Tensor q = nn::Tensor::Randn({1, t, d}, rng, 1.0f);
+  // The schema branch ends in a ReLU, so about half its entries are zero.
+  const nn::Tensor schema = nn::Relu(nn::Tensor::Randn({n, d}, rng, 1.0f));
+  const nn::AttentionKv kv = attn.ProjectKv(schema);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(memo ? attn.Attend(q, kv)
+                                  : attn.Forward(q, schema));
+  }
+}
+
+void BM_SchemaCrossAttentionFresh(benchmark::State& state) {
+  SchemaCrossAttentionBench(state, /*memo=*/false);
+}
+BENCHMARK(BM_SchemaCrossAttentionFresh);
+
+void BM_SchemaCrossAttentionMemo(benchmark::State& state) {
+  SchemaCrossAttentionBench(state, /*memo=*/true);
+}
+BENCHMARK(BM_SchemaCrossAttentionMemo);
+
 void BM_MatMulForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(11);

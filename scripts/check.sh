@@ -142,6 +142,16 @@ else
   PREQR_KERNEL_IMPL=avx2 ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/nn_ops_grad_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/batch_invariance_test
+  # The schema cross-attention memo (fresh-versus-memo layer bits, reload
+  # and fine-tune freshness of the encoder's memo and int8 shadows) and the
+  # encoder golden pins under each forced impl. The AVX2 GEMM contract
+  # suite (Avx2GemmContractTest) rides in kernel_dispatch_test above.
+  for impl in scalar avx2; do
+    PREQR_KERNEL_IMPL=$impl ./build/tests/schema_kv_memo_test
+    PREQR_KERNEL_IMPL=$impl ./build/tests/encoder_golden_test
+    PREQR_KERNEL_IMPL=$impl ./build/tests/kernel_dispatch_test \
+      --gtest_filter='Avx2GemmContractTest.*'
+  done
   # UBSan over the int8 quantization path and the dispatch plumbing:
   # rounding, packing, and the saturating deadline math must be UB-free.
   cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null

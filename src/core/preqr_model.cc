@@ -24,8 +24,13 @@ TrmGLayer::TrmGLayer(const PreqrConfig& config, Rng& rng)
   RegisterChild("fuse_ln", &fuse_ln_);
 }
 
+nn::AttentionKv TrmGLayer::ProjectSchemaKv(const Tensor& schema_nodes) const {
+  return graph_attention_.ProjectKv(schema_nodes);
+}
+
 Tensor TrmGLayer::ForwardBatch(const Tensor& e_q, const Tensor& schema_nodes,
-                               const std::vector<int>& lengths) const {
+                               const std::vector<int>& lengths,
+                               const nn::AttentionKv* schema_kv) const {
   // Original transformer (Eq. 6).
   Tensor q = trm_.ForwardBatch(e_q, lengths);
   if (!schema_nodes.defined()) return q;
@@ -35,7 +40,9 @@ Tensor TrmGLayer::ForwardBatch(const Tensor& e_q, const Tensor& schema_nodes,
   // key is a valid schema vertex, and q's pad rows are exactly zero after
   // the masked trm_ norms, so they produce finite junk that the masked
   // norms below re-zero without ever reaching a valid row.
-  Tensor attended = graph_attention_.Forward(q, schema_nodes);
+  Tensor attended = schema_kv != nullptr
+                        ? graph_attention_.Attend(q, *schema_kv)
+                        : graph_attention_.Forward(q, schema_nodes);
   Tensor e_g = graph_ln1_.ForwardMasked(nn::Add(q, attended), lengths);
   e_g = graph_ln2_.ForwardMasked(nn::Add(e_g, graph_ffn_.Forward(e_g)),
                                  lengths);
@@ -195,25 +202,43 @@ Tensor PreqrModel::ForwardBatch(
   return h;  // [B, T, d]
 }
 
+std::vector<nn::AttentionKv> PreqrModel::ProjectSchemaKv(
+    const Tensor& schema_nodes_detached) const {
+  std::vector<nn::AttentionKv> out;
+  if (!config_.use_schema || !schema_nodes_detached.defined()) return out;
+  nn::NoGradGuard no_grad;
+  out.reserve(layers_.size());
+  for (const auto& layer : layers_) {
+    out.push_back(layer->ProjectSchemaKv(schema_nodes_detached));
+  }
+  return out;
+}
+
 Tensor PreqrModel::EncodePrefixBatch(
     const text::SqlTokenizer::TokenizedBatch& batch,
-    const Tensor& schema_nodes_detached) {
+    const Tensor& schema_nodes_detached,
+    const std::vector<nn::AttentionKv>* schema_kv) {
   // The prefix is frozen in the fine-tune-last-layer protocol, so the
   // whole padded forward runs tape-free on pooled storage.
   nn::NoGradGuard no_grad;
   Tensor h = EmbedInputBatch(batch, {});
   const Tensor schema = config_.use_schema ? schema_nodes_detached : Tensor();
+  const bool memo = schema.defined() && schema_kv != nullptr;
+  if (memo) PREQR_CHECK_GE(schema_kv->size() + 1, layers_.size());
   for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    h = layers_[l]->ForwardBatch(h, schema, batch.lengths);
+    h = layers_[l]->ForwardBatch(h, schema, batch.lengths,
+                                 memo ? &(*schema_kv)[l] : nullptr);
   }
   return h;  // [B, T, d]
 }
 
 Tensor PreqrModel::LastLayerBatch(const Tensor& prefix_states,
                                   const Tensor& schema_nodes,
-                                  const std::vector<int>& lengths) {
+                                  const std::vector<int>& lengths,
+                                  const nn::AttentionKv* schema_kv) {
   const Tensor schema = config_.use_schema ? schema_nodes : Tensor();
-  return layers_.back()->ForwardBatch(prefix_states, schema, lengths);
+  return layers_.back()->ForwardBatch(
+      prefix_states, schema, lengths, schema.defined() ? schema_kv : nullptr);
 }
 
 std::vector<Tensor> PreqrModel::LastLayerParameters() const {

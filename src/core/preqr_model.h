@@ -27,9 +27,17 @@ class TrmGLayer : public nn::Module {
   // cross-attention onto the shared schema nodes (every key is valid),
   // masked layer norms throughout. Valid rows are bitwise the same example
   // run at B=1; pad rows come out exactly zero. Returns [B, T, d].
+  // `schema_kv`, when given, must be ProjectSchemaKv(schema_nodes) built
+  // under the same kernel table and int8 mode; the cross attention then
+  // reads it instead of projecting the schema again (bitwise the same).
   nn::Tensor ForwardBatch(const nn::Tensor& e_q,
                           const nn::Tensor& schema_nodes,
-                          const std::vector<int>& lengths) const;
+                          const std::vector<int>& lengths,
+                          const nn::AttentionKv* schema_kv = nullptr) const;
+
+  // The schema branch's cross-attention keys/values for schema_nodes [N, d]
+  // (Trm' reads e_G, which does not depend on the query).
+  nn::AttentionKv ProjectSchemaKv(const nn::Tensor& schema_nodes) const;
 
  private:
   nn::TransformerEncoderLayer trm_;        // black rectangle of Figure 6
@@ -77,20 +85,35 @@ class PreqrModel : public nn::Module {
                           const std::vector<uint64_t>& dropout_seeds = {});
 
   // --- Split forward (fine-tuning: frozen prefix + trainable last layer) --
+  // Schema keys/values of every Trm_g layer (element l is layer l's
+  // TrmGLayer::ProjectSchemaKv), projected from detached schema nodes; a
+  // caller that encodes many batches against one frozen schema projects
+  // them once and passes them to the calls below. Empty when the model
+  // runs without the schema branch.
+  std::vector<nn::AttentionKv> ProjectSchemaKv(
+      const nn::Tensor& schema_nodes_detached) const;
   // Embedding + the first L-1 layers as one tape-free padded forward.
   // Returns [B, T, d]; slice per example with nn::SliceExample.
-  nn::Tensor EncodePrefixBatch(const text::SqlTokenizer::TokenizedBatch& batch,
-                               const nn::Tensor& schema_nodes_detached);
+  // `schema_kv` (optional) is ProjectSchemaKv(schema_nodes_detached);
+  // entries past the prefix layers are ignored.
+  nn::Tensor EncodePrefixBatch(
+      const text::SqlTokenizer::TokenizedBatch& batch,
+      const nn::Tensor& schema_nodes_detached,
+      const std::vector<nn::AttentionKv>* schema_kv = nullptr);
   // The last Trm_g layer over padded prefixes [B, T, d] (lengths[b] valid
-  // rows each). In train mode gradients flow into the layer's parameters.
+  // rows each). In train mode gradients flow into the layer's parameters;
+  // a train-mode caller passes no `schema_kv`, so wk/wv get theirs too.
   nn::Tensor LastLayerBatch(const nn::Tensor& prefix_states,
                             const nn::Tensor& schema_nodes,
-                            const std::vector<int>& lengths);
+                            const std::vector<int>& lengths,
+                            const nn::AttentionKv* schema_kv = nullptr);
 
   // --- Parameter groups (Section 3.6 update cases) -------------------------
   std::vector<nn::Tensor> LastLayerParameters() const;   // Case 1
   std::vector<nn::Tensor> SchemaParameters() const;      // Case 2
   std::vector<nn::Tensor> InputParameters() const;       // Case 3
+  // The last Trm_g layer itself (int8 recalibration after fine-tuning).
+  const nn::Module& last_layer() const { return *layers_.back(); }
 
   const PreqrConfig& config() const { return config_; }
   const text::SqlTokenizer& tokenizer() const { return *tokenizer_; }

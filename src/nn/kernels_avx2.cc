@@ -11,8 +11,9 @@
 //      so a row's bits depend only on its own values and its logical width.
 //   2. Elementwise tails go through the same vector routine as full lanes
 //      (copied through a zero-padded stack block), and GEMM tail columns
-//      use std::fmaf — the scalar twin of the vector fmadd — so an
-//      element's bits never depend on its alignment within a buffer.
+//      run through masked vector lanes (a vector FMA lane is the correctly
+//      rounded fmaf), so an element's bits never depend on its alignment
+//      within a buffer.
 //   3. Reductions (softmax sum, layer-norm moments) use one fixed
 //      horizontal order per row width.
 // Bits intentionally differ from the scalar backend (FMA contraction and a
@@ -129,58 +130,77 @@ inline float HMax8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+// Columns [j0, j0 + 8 * kVecs) of one GEMM output row, held in kVecs
+// accumulators across the whole kk sweep: one zero-skip branch and one
+// broadcast per kk feed kVecs independent FMA chains. With kMaskLast the
+// last vector covers only the lanes set in `mask` (maskload reads zeros
+// elsewhere, maskstore writes only those columns).
+template <int kVecs, bool kMaskLast>
+inline void MatMulRowBlock(const float* arow, const float* b, float* orow,
+                           int k, int n, int j0, __m256i mask) {
+  auto load = [mask](const float* p, int v) {
+    if constexpr (kMaskLast) {
+      if (v == kVecs - 1) return _mm256_maskload_ps(p + 8 * v, mask);
+    }
+    return _mm256_loadu_ps(p + 8 * v);
+  };
+  float* o = orow + j0;
+  __m256 acc[kVecs];
+#pragma GCC unroll 8
+  for (int v = 0; v < kVecs; ++v) acc[v] = load(o, v);
+  for (int kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    if (av == 0.0f) continue;
+    const __m256 a8 = _mm256_set1_ps(av);
+    const float* brow = b + static_cast<size_t>(kk) * n + j0;
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_fmadd_ps(a8, load(brow, v), acc[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < kVecs; ++v) {
+    if (kMaskLast && v == kVecs - 1) {
+      _mm256_maskstore_ps(o + 8 * v, mask, acc[v]);
+    } else {
+      _mm256_storeu_ps(o + 8 * v, acc[v]);
+    }
+  }
+}
+
 // One GEMM output row: orow[j] (+)= sum_kk arow[kk] * b[kk*n + j], j < n.
-// Register-blocked over 32 output columns so the accumulators stay in
-// registers across the whole kk sweep. Per output element the operation
-// sequence is an fma chain over the nonzero kk in ascending order — the
-// 8-wide and fmaf tail paths run the identical chain, so an element's bits
-// depend only on (arow, column of b, prior orow value), never on n's
-// divisibility or the blocking boundaries. The av == 0.0f skip preserves
-// the scalar kernel's guarantee that all-zero (pad) rows leave orow
-// untouched even when b carries inf/NaN garbage in pad positions.
+// Register-blocked over 64 output columns (8 accumulators), then the
+// remaining < 64 columns as one block whose last vector is masked, so a
+// row of any width keeps several independent FMA chains per kk. Per output
+// element the operation sequence is an fma chain over the nonzero kk in
+// ascending order — every block shape, masked lanes included, runs the
+// identical chain, and a vector FMA lane is the correctly rounded fmaf —
+// so an element's bits depend only on (arow, column of b, prior orow
+// value), never on n's divisibility or the blocking boundaries. The
+// av == 0.0f skip preserves the scalar kernel's guarantee that all-zero
+// (pad) rows leave orow untouched even when b carries inf/NaN garbage in
+// pad positions.
 inline void MatMulRowFma(const float* arow, const float* b, float* orow,
                          int k, int n) {
+  const __m256i all = _mm256_set1_epi32(-1);
   int j0 = 0;
-  for (; j0 + 32 <= n; j0 += 32) {
-    float* o = orow + j0;
-    __m256 o0 = _mm256_loadu_ps(o);
-    __m256 o1 = _mm256_loadu_ps(o + 8);
-    __m256 o2 = _mm256_loadu_ps(o + 16);
-    __m256 o3 = _mm256_loadu_ps(o + 24);
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const __m256 a8 = _mm256_set1_ps(av);
-      const float* brow = b + static_cast<size_t>(kk) * n + j0;
-      o0 = _mm256_fmadd_ps(a8, _mm256_loadu_ps(brow), o0);
-      o1 = _mm256_fmadd_ps(a8, _mm256_loadu_ps(brow + 8), o1);
-      o2 = _mm256_fmadd_ps(a8, _mm256_loadu_ps(brow + 16), o2);
-      o3 = _mm256_fmadd_ps(a8, _mm256_loadu_ps(brow + 24), o3);
-    }
-    _mm256_storeu_ps(o, o0);
-    _mm256_storeu_ps(o + 8, o1);
-    _mm256_storeu_ps(o + 16, o2);
-    _mm256_storeu_ps(o + 24, o3);
+  for (; j0 + 64 <= n; j0 += 64) {
+    MatMulRowBlock<8, false>(arow, b, orow, k, n, j0, all);
   }
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 o = _mm256_loadu_ps(orow + j0);
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      o = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                          _mm256_loadu_ps(b + static_cast<size_t>(kk) * n + j0),
-                          o);
-    }
-    _mm256_storeu_ps(orow + j0, o);
-  }
-  for (; j0 < n; ++j0) {
-    float o = orow[j0];
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      o = std::fmaf(av, b[static_cast<size_t>(kk) * n + j0], o);
-    }
-    orow[j0] = o;
+  const int rest = n - j0;
+  if (rest == 0) return;
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(rest - 8 * ((rest - 1) / 8)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  switch ((rest + 7) / 8) {
+    case 1: MatMulRowBlock<1, true>(arow, b, orow, k, n, j0, mask); break;
+    case 2: MatMulRowBlock<2, true>(arow, b, orow, k, n, j0, mask); break;
+    case 3: MatMulRowBlock<3, true>(arow, b, orow, k, n, j0, mask); break;
+    case 4: MatMulRowBlock<4, true>(arow, b, orow, k, n, j0, mask); break;
+    case 5: MatMulRowBlock<5, true>(arow, b, orow, k, n, j0, mask); break;
+    case 6: MatMulRowBlock<6, true>(arow, b, orow, k, n, j0, mask); break;
+    case 7: MatMulRowBlock<7, true>(arow, b, orow, k, n, j0, mask); break;
+    default: MatMulRowBlock<8, true>(arow, b, orow, k, n, j0, mask); break;
   }
 }
 

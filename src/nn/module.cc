@@ -105,19 +105,35 @@ MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, Rng& rng)
 }
 
 Tensor MultiHeadAttention::Forward(const Tensor& q, const Tensor& kv) const {
-  const Tensor qp = wq_.Forward(q);    // [Sq, d]
-  const Tensor kp = wk_.Forward(kv);   // [Skv, d]
-  const Tensor vp = wv_.Forward(kv);   // [Skv, d]
+  return Attend(q, ProjectKv(kv));
+}
+
+AttentionKv MultiHeadAttention::ProjectKv(const Tensor& kv) const {
+  const Tensor kp = wk_.Forward(kv);  // [Skv, d]
+  const Tensor vp = wv_.Forward(kv);  // [Skv, d]
+  AttentionKv heads;
+  heads.kt.reserve(static_cast<size_t>(heads_));
+  heads.v.reserve(static_cast<size_t>(heads_));
+  for (int h = 0; h < heads_; ++h) {
+    heads.kt.push_back(Transpose(SliceLastDim(kp, h * head_dim_, head_dim_)));
+    heads.v.push_back(SliceLastDim(vp, h * head_dim_, head_dim_));
+  }
+  return heads;
+}
+
+Tensor MultiHeadAttention::Attend(const Tensor& q,
+                                  const AttentionKv& heads) const {
+  PREQR_CHECK_EQ(static_cast<int>(heads.kt.size()), heads_);
+  const Tensor qp = wq_.Forward(q);  // [Sq, d]
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   std::vector<Tensor> head_outputs;
   head_outputs.reserve(static_cast<size_t>(heads_));
   for (int h = 0; h < heads_; ++h) {
     const Tensor qh = SliceLastDim(qp, h * head_dim_, head_dim_);
-    const Tensor kh = SliceLastDim(kp, h * head_dim_, head_dim_);
-    const Tensor vh = SliceLastDim(vp, h * head_dim_, head_dim_);
-    Tensor scores = Scale(MatMul(qh, Transpose(kh)), scale);  // [Sq, Skv]
+    const auto hi = static_cast<size_t>(h);
+    Tensor scores = Scale(MatMul(qh, heads.kt[hi]), scale);  // [Sq, Skv]
     Tensor weights = SoftmaxLastDim(scores);
-    head_outputs.push_back(MatMul(weights, vh));  // [Sq, head_dim]
+    head_outputs.push_back(MatMul(weights, heads.v[hi]));  // [Sq, head_dim]
   }
   return wo_.Forward(ConcatLastDim(head_outputs));
 }

@@ -79,6 +79,14 @@ class LayerNorm : public Module {
   Tensor gamma_, beta_;
 };
 
+// Per-head keys and values projected from one attention's kv input. They
+// depend only on that input and wk/wv, so a frozen input (the schema nodes)
+// can be projected once and attended to by every later query.
+struct AttentionKv {
+  std::vector<Tensor> kt;  // per head: kᵀ [head_dim, Skv]
+  std::vector<Tensor> v;   // per head: v [Skv, head_dim]
+};
+
 // Multi-head scaled dot-product attention (post-norm residual handled by the
 // caller). Queries may differ from keys/values (cross attention). Forward
 // also accepts batched [B, T, d] queries against shared 2-D keys/values
@@ -86,8 +94,16 @@ class LayerNorm : public Module {
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int dim, int num_heads, Rng& rng);
-  // q: [Sq, d]; kv: [Skv, d] -> [Sq, d].
+  // q: [Sq, d] (or [B, T, d]); kv: [Skv, d] -> q's shape. The op-level
+  // reference: Attend(q, ProjectKv(kv)).
   Tensor Forward(const Tensor& q, const Tensor& kv) const;
+  // The kv half of Forward: kv [Skv, d] through wk/wv, sliced per head.
+  // Under the tape the result carries wk/wv's gradient history.
+  AttentionKv ProjectKv(const Tensor& kv) const;
+  // The query half of Forward against already projected keys/values:
+  // bitwise Forward(q, kv) whenever `heads` came from ProjectKv(kv) under
+  // the same kernel table and int8 mode.
+  Tensor Attend(const Tensor& q, const AttentionKv& heads) const;
   // Masked self-attention over a padded batch [B, T, d]: example b attends
   // over its first lengths[b] positions only; each valid row is bitwise the
   // op-level Forward(x_b, x_b) result on that example's rows.

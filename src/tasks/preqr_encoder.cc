@@ -22,14 +22,13 @@ PreqrEncoder::PreqrEncoder(core::PreqrModel* model, Options options)
   // Calibrate before anything encodes: shadows are inert until a thread
   // installs an Int8Guard, so the schema encoding below stays float.
   if (use_int8_) nn::quant::CalibrateModule(*model_);
-  if (model_->config().use_schema) {
-    schema_ = model_->EncodeSchemaNodes(/*with_grad=*/false);
-  }
+  EncodeSchema();
 }
 
-void PreqrEncoder::BeginStep(bool /*train*/) {
+void PreqrEncoder::BeginStep(bool train) {
   // The schema branch is below the fine-tuned layer boundary, so it stays
-  // frozen; nothing to refresh.
+  // frozen; only the last layer's memo and shadows can go stale.
+  if (train) last_layer_stale_ = true;
 }
 
 void PreqrEncoder::InvalidateCache() {
@@ -37,9 +36,41 @@ void PreqrEncoder::InvalidateCache() {
   // Re-quantize from the new float weights so the int8 shadows never serve
   // stale values after a reload / further pre-training.
   if (use_int8_) nn::quant::CalibrateModule(*model_);
-  if (model_->config().use_schema) {
-    schema_ = model_->EncodeSchemaNodes(/*with_grad=*/false);
+  EncodeSchema();
+}
+
+void PreqrEncoder::EncodeSchema() {
+  schema_ = model_->config().use_schema
+                ? model_->EncodeSchemaNodes(/*with_grad=*/false)
+                : nn::Tensor();
+  ProjectSchemaKv();
+}
+
+void PreqrEncoder::ProjectSchemaKv() {
+  last_layer_stale_ = false;
+  {
+    nn::quant::Int8Guard float_kv(false);
+    schema_kv_ = model_->ProjectSchemaKv(schema_);
   }
+  if (use_int8_) {
+    nn::quant::Int8Guard int8_kv(true);
+    schema_kv_int8_ = model_->ProjectSchemaKv(schema_);
+  }
+}
+
+void PreqrEncoder::PrepareLastLayer(bool train) {
+  if (train) {
+    last_layer_stale_ = true;
+  } else if (last_layer_stale_) {
+    // The frozen layers re-project to the same bits; only the last moved.
+    if (use_int8_) nn::quant::CalibrateModule(model_->last_layer());
+    ProjectSchemaKv();
+  }
+}
+
+const std::vector<nn::AttentionKv>* PreqrEncoder::SchemaKv() const {
+  const auto& kv = nn::quant::Int8Enabled() ? schema_kv_int8_ : schema_kv_;
+  return kv.empty() ? nullptr : &kv;
 }
 
 PreqrEncoder::CachedQuery PreqrEncoder::ZeroEntry() const {
@@ -127,7 +158,8 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
     uint64_t valid_tokens = 0;
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
     serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
-    nn::Tensor prefixes = model_->EncodePrefixBatch(batch, schema_);
+    nn::Tensor prefixes =
+        model_->EncodePrefixBatch(batch, schema_, SchemaKv());
     // Slice each example's valid rows back out (tape-free: the cached
     // prefix never carries autograd history).
     nn::NoGradGuard no_grad;
@@ -190,7 +222,11 @@ std::vector<nn::Tensor> PreqrEncoder::FinalTokens(
     const std::vector<const CachedQuery*>& entries) {
   // Pad the prefixes into [B, T, d] chunks, run the last Trm_g layer once
   // per chunk, then slice each entry's valid rows back out. In train mode
-  // the tape runs through the padded pass into the layer's parameters.
+  // the tape runs through the padded pass into the layer's parameters,
+  // wk/wv's schema projections included, so the memo is left out.
+  const std::vector<nn::AttentionKv>* kv = SchemaKv();
+  const nn::AttentionKv* last_kv =
+      kv != nullptr && !nn::GradMode::enabled() ? &kv->back() : nullptr;
   std::vector<nn::Tensor> out;
   out.reserve(entries.size());
   for (size_t c0 = 0; c0 < entries.size(); c0 += kMaxEncodeBatch) {
@@ -212,7 +248,8 @@ std::vector<nn::Tensor> PreqrEncoder::FinalTokens(
     serving::RecordPaddedBatch(static_cast<int>(c1 - c0), t_max,
                                valid_tokens);
     nn::Tensor padded = nn::PadExamples(prefixes);
-    nn::Tensor out_batch = model_->LastLayerBatch(padded, schema_, lengths);
+    nn::Tensor out_batch =
+        model_->LastLayerBatch(padded, schema_, lengths, last_kv);
     for (size_t j = c0; j < c1; ++j) {
       out.push_back(nn::SliceExample(out_batch, static_cast<int>(j - c0),
                                      lengths[j - c0]));
@@ -256,6 +293,7 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
 
 std::vector<StatusOr<nn::Tensor>> PreqrEncoder::EncodeBatch(
     const std::vector<std::string>& sqls, bool train, bool zero_fallback) {
+  PrepareLastLayer(train);
   // Inference batches opt the whole encode (frozen prefix computation and
   // the read-out below) into the int8 path. The guard is thread-local and
   // every op dispatches on this thread — kernels only fan *loops* out to
@@ -330,6 +368,7 @@ nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
 }
 
 nn::Tensor PreqrEncoder::EncodeSequence(const std::string& sql, bool train) {
+  PrepareLastLayer(train);
   std::optional<nn::NoGradGuard> no_grad;
   std::optional<nn::quant::Int8Guard> int8;
   if (!train) {

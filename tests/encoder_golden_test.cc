@@ -4,8 +4,10 @@
 // still existed, and the bits recorded as FNV-1a hashes: the inference
 // embedding, the train-mode embedding, and the last-layer parameter
 // gradients after Sum(v*v).Backward(). The suite asserts the current encode
-// path reproduces every one of them exactly. The scalar kernel table is
-// forced so the pin does not depend on the host's SIMD support.
+// path reproduces every one of them exactly. The first pin forces the
+// scalar kernel table so it does not depend on the host's SIMD support; the
+// second pins the same corpus under the AVX2 table (the serving hot path)
+// plus the int8 inference embedding, and skips on hosts without AVX2.
 //
 // Regenerate (only legitimate after an intentional numerics change):
 //   PREQR_GOLDEN_REGEN=1 ./build/tests/encoder_golden_test
@@ -32,6 +34,9 @@
 
 #ifndef PREQR_GOLDEN_FILE
 #define PREQR_GOLDEN_FILE "encoder_golden.txt"
+#endif
+#ifndef PREQR_GOLDEN_AVX2_FILE
+#define PREQR_GOLDEN_AVX2_FILE "encoder_golden_avx2.txt"
 #endif
 
 namespace preqr::tasks {
@@ -83,14 +88,23 @@ struct GoldenRow {
   uint64_t vec_hash = 0;        // TryEncodeVector(sql, false)
   uint64_t train_vec_hash = 0;  // TryEncodeVector(sql, true)
   uint64_t grad_hash = 0;       // last-layer grads of Sum(v*v)
+  uint64_t int8_vec_hash = 0;   // int8 encoder's TryEncodeVector(sql, false)
 };
 
-std::vector<GoldenRow> ComputeRows(const Env& env) {
+// Hashes every corpus query's encode record; with `with_int8`, an int8
+// encoder over the same model also records its inference embedding.
+std::vector<GoldenRow> ComputeRows(const Env& env, bool with_int8) {
   core::PreqrModel model(core::PreqrConfig(), env.tokenizer.get(), &env.fa,
                          &env.graph, 29);
   const std::vector<nn::Tensor> params = model.LastLayerParameters();
   PreqrEncoder infer(&model);
   PreqrEncoder train(&model);  // its own cache: computes every prefix again
+  std::unique_ptr<PreqrEncoder> int8;
+  if (with_int8) {
+    PreqrEncoder::Options options;
+    options.use_int8 = true;
+    int8 = std::make_unique<PreqrEncoder>(&model, options);
+  }
   std::vector<GoldenRow> rows;
   for (const auto& sql : env.corpus) {
     GoldenRow row;
@@ -104,6 +118,11 @@ std::vector<GoldenRow> ComputeRows(const Env& env) {
     }
     row.ok = 1;
     row.vec_hash = HashFloats(v.value().vec());
+    if (int8) {
+      auto q = int8->TryEncodeVector(sql, /*train=*/false);
+      EXPECT_TRUE(q.ok()) << sql;
+      if (q.ok()) row.int8_vec_hash = HashFloats(q.value().vec());
+    }
     for (auto p : params) p.ZeroGrad();
     auto t = train.TryEncodeVector(sql, /*train=*/true);
     EXPECT_TRUE(t.ok()) << sql;
@@ -123,9 +142,11 @@ std::vector<GoldenRow> ComputeRows(const Env& env) {
   return rows;
 }
 
-std::vector<GoldenRow> LoadGolden() {
+// A golden file holds one line per query: five hex/decimal columns, plus
+// the int8 hash as a sixth when the file pins the int8 path.
+std::vector<GoldenRow> LoadGolden(const char* path, bool with_int8) {
   std::vector<GoldenRow> rows;
-  FILE* f = std::fopen(PREQR_GOLDEN_FILE, "r");
+  FILE* f = std::fopen(path, "r");
   if (f == nullptr) return rows;
   GoldenRow r;
   while (std::fscanf(f,
@@ -133,36 +154,50 @@ std::vector<GoldenRow> LoadGolden() {
                      " %" SCNx64,
                      &r.sql_hash, &r.ok, &r.vec_hash, &r.train_vec_hash,
                      &r.grad_hash) == 5) {
+    if (with_int8 && std::fscanf(f, " %" SCNx64, &r.int8_vec_hash) != 1) {
+      break;
+    }
     rows.push_back(r);
   }
   std::fclose(f);
   return rows;
 }
 
-TEST(EncoderGoldenTest, EncodeReproducesPinnedBitsAndGradients) {
-  ASSERT_TRUE(nn::kernels::SetActiveImpl("scalar"));
+void WriteGolden(const char* path, const std::vector<GoldenRow>& rows,
+                 bool with_int8) {
+  FILE* f = std::fopen(path, "w");
+  ASSERT_NE(f, nullptr) << "cannot write " << path;
+  for (const auto& r : rows) {
+    std::fprintf(f,
+                 "%016" PRIx64 " %" PRIu64 " %016" PRIx64 " %016" PRIx64
+                 " %016" PRIx64,
+                 r.sql_hash, r.ok, r.vec_hash, r.train_vec_hash, r.grad_hash);
+    if (with_int8) std::fprintf(f, " %016" PRIx64, r.int8_vec_hash);
+    std::fprintf(f, "\n");
+  }
+  std::fclose(f);
+}
+
+bool Regenerating() {
+  const char* regen = std::getenv("PREQR_GOLDEN_REGEN");
+  return regen != nullptr && regen[0] == '1';
+}
+
+// Encodes the corpus under the active kernel table and compares (or, with
+// PREQR_GOLDEN_REGEN=1, rewrites) the pinned records in `path`.
+void CheckGolden(const char* path, bool with_int8) {
   const Env env;
   ASSERT_EQ(env.corpus.size(), 32u);
-  const auto rows = ComputeRows(env);
+  const auto rows = ComputeRows(env, with_int8);
 
-  if (const char* regen = std::getenv("PREQR_GOLDEN_REGEN");
-      regen != nullptr && regen[0] == '1') {
-    FILE* f = std::fopen(PREQR_GOLDEN_FILE, "w");
-    ASSERT_NE(f, nullptr) << "cannot write " << PREQR_GOLDEN_FILE;
-    for (const auto& r : rows) {
-      std::fprintf(f,
-                   "%016" PRIx64 " %" PRIu64 " %016" PRIx64 " %016" PRIx64
-                   " %016" PRIx64 "\n",
-                   r.sql_hash, r.ok, r.vec_hash, r.train_vec_hash,
-                   r.grad_hash);
-    }
-    std::fclose(f);
-    GTEST_SKIP() << "regenerated " << PREQR_GOLDEN_FILE;
+  if (Regenerating()) {
+    WriteGolden(path, rows, with_int8);
+    GTEST_SKIP() << "regenerated " << path;
   }
 
-  const auto golden = LoadGolden();
+  const auto golden = LoadGolden(path, with_int8);
   ASSERT_EQ(golden.size(), rows.size())
-      << "golden file " << PREQR_GOLDEN_FILE
+      << "golden file " << path
       << " missing or stale; regenerate with PREQR_GOLDEN_REGEN=1 only if "
          "the encoder's numerics changed intentionally";
   int ok = 0;
@@ -174,10 +209,24 @@ TEST(EncoderGoldenTest, EncodeReproducesPinnedBitsAndGradients) {
     EXPECT_EQ(rows[i].vec_hash, golden[i].vec_hash);
     EXPECT_EQ(rows[i].train_vec_hash, golden[i].train_vec_hash);
     EXPECT_EQ(rows[i].grad_hash, golden[i].grad_hash);
+    EXPECT_EQ(rows[i].int8_vec_hash, golden[i].int8_vec_hash);
     ok += static_cast<int>(rows[i].ok);
   }
   // Exactly the malformed query gets a Status.
   EXPECT_EQ(ok, static_cast<int>(rows.size()) - 1);
+}
+
+TEST(EncoderGoldenTest, EncodeReproducesPinnedBitsAndGradients) {
+  ASSERT_TRUE(nn::kernels::SetActiveImpl("scalar"));
+  CheckGolden(PREQR_GOLDEN_FILE, /*with_int8=*/false);
+}
+
+// The serving hot path: the AVX2 table, float and int8 inference encodes.
+TEST(EncoderGoldenTest, Avx2EncodeReproducesPinnedBits) {
+  if (!nn::kernels::SetActiveImpl("avx2")) {
+    GTEST_SKIP() << "AVX2+FMA not available on this host";
+  }
+  CheckGolden(PREQR_GOLDEN_AVX2_FILE, /*with_int8=*/true);
 }
 
 }  // namespace

@@ -128,6 +128,69 @@ TEST_F(ParityTest, MatMul) {
   EXPECT_LT(MaxRelDiff(v, s), 1e-4f);
 }
 
+// The AVX2 GEMM's documented contract (MatMulRowFma in kernels_avx2.cc),
+// checked bitwise against an independent reference: every output element
+// is the fmaf chain over the nonzero a[i, kk] in ascending kk, whatever
+// the row width and however the kernel blocks its columns (64-, 32- and
+// 8-wide blocks, masked tail). Half the inputs are exact zeros, like the
+// ReLU-sparse schema activations.
+class Avx2GemmContractTest : public ParityTest {};
+
+std::vector<float> FmaChainReference(const std::vector<float>& a,
+                                     const std::vector<float>& b, int m,
+                                     int k, int n) {
+  std::vector<float> out(size_t(m) * n, 0.0f);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float o = 0.0f;
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = a[size_t(i) * k + kk];
+        if (av == 0.0f) continue;
+        o = std::fmaf(av, b[size_t(kk) * n + j], o);
+      }
+      out[size_t(i) * n + j] = o;
+    }
+  }
+  return out;
+}
+
+TEST_F(Avx2GemmContractTest, MatchesFmaChainBitwiseAtEveryWidth) {
+  const int widths[] = {1,  2,  3,  4,  5,   6,   7,   8,   9,   15,
+                        16, 17, 31, 32, 33,  53,  63,  64,  65,  92,
+                        96, 127, 128, 129, 130};
+  const int m = 5;
+  for (const int k : {37, 64}) {
+    for (const int n : widths) {
+      auto a = RandVec(size_t(m) * k, 101 + uint64_t(n));
+      for (size_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;  // ~50% zeros
+      for (size_t i = 1; i < a.size(); i += 7) a[i] = 0.0f;
+      const auto b = RandVec(size_t(k) * n, 211 + uint64_t(n));
+      std::vector<float> v(size_t(m) * n, 0.0f);
+      Avx2Table()->MatMulForward(a.data(), b.data(), v.data(), m, k, n);
+      EXPECT_TRUE(BitwiseEqual(v, FmaChainReference(a, b, m, k, n)))
+          << "k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST_F(Avx2GemmContractTest, AllZeroRowIgnoresNanPoisonedB) {
+  const int m = 3, k = 64;
+  for (const int n : {7, 53, 64, 92, 130}) {
+    auto a = RandVec(size_t(m) * k, 307);
+    for (int kk = 0; kk < k; ++kk) a[size_t(1) * k + kk] = 0.0f;  // pad row
+    const std::vector<float> b(size_t(k) * n,
+                               std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> v(size_t(m) * n, 0.0f);
+    Avx2Table()->MatMulForward(a.data(), b.data(), v.data(), m, k, n);
+    for (int j = 0; j < n; ++j) {
+      const float pad = v[size_t(1) * n + j];
+      EXPECT_EQ(std::memcmp(&pad, "\0\0\0\0", sizeof(float)), 0)
+          << "pad row not +0 at n=" << n << " j=" << j;
+      EXPECT_TRUE(std::isnan(v[j])) << "valid row missed b at j=" << j;
+    }
+  }
+}
+
 TEST_F(ParityTest, AddBiasIsBitwiseExact) {
   // One add per lane in both impls: identical rounding, identical bits.
   const size_t rows = 5;

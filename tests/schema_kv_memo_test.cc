@@ -1,0 +1,229 @@
+// The schema cross-attention memo: a TrmGLayer fed precomputed schema
+// keys/values must reproduce the layer's own projection bit for bit under
+// every kernel table and int8 mode, and a PreqrEncoder's memoized state
+// (keys/values and int8 shadows) must track the weights it serves — after
+// a hot reload and after fine-tuning steps — so its encodes stay bitwise
+// equal to a freshly built encoder over the same weights.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "automaton/template_extractor.h"
+#include "common/rng.h"
+#include "core/preqr_model.h"
+#include "db/stats.h"
+#include "nn/kernels_dispatch.h"
+#include "nn/ops.h"
+#include "nn/optim.h"
+#include "nn/quant.h"
+#include "nn/serialize.h"
+#include "schema/schema_graph.h"
+#include "serving/encoder_service.h"
+#include "tasks/preqr_encoder.h"
+#include "text/tokenizer.h"
+#include "workload/imdb.h"
+#include "workload/query_gen.h"
+
+namespace preqr::tasks {
+namespace {
+
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// The kernel tables this host can run.
+std::vector<const char*> Impls() {
+  std::vector<const char*> impls = {"scalar"};
+  if (nn::kernels::Avx2Supported()) impls.push_back("avx2");
+  return impls;
+}
+
+// Restores the active kernel table on scope exit.
+class ImplRestorer {
+ public:
+  ImplRestorer() : name_(nn::kernels::ActiveImplName()) {}
+  ~ImplRestorer() { nn::kernels::SetActiveImpl(name_); }
+
+ private:
+  const char* name_;
+};
+
+// Random [rows, cols] values with about half of them exactly zero, like
+// the ReLU output of the schema branch.
+nn::Tensor SparseRandom(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(rows) * cols);
+  for (auto& x : v) {
+    const float u = rng.NextFloat() * 2.0f - 1.0f;
+    x = u > 0.0f ? u : 0.0f;
+  }
+  return nn::Tensor::FromData({rows, cols}, std::move(v));
+}
+
+TEST(SchemaKvMemoTest, TrmGLayerMemoMatchesFreshProjectionBitwise) {
+  ImplRestorer restore;
+  const core::PreqrConfig config;
+  Rng rng(41);
+  core::TrmGLayer layer(config, rng);
+  layer.set_train(false);
+  const int bsz = 3, t = 34, n = 92, d = config.d_model;
+  const std::vector<int> lengths = {34, 17, 5};
+  // Valid rows random, pad rows exactly zero (the layer's input contract).
+  Rng xrng(43);
+  std::vector<float> x(static_cast<size_t>(bsz) * t * d, 0.0f);
+  for (int b = 0; b < bsz; ++b) {
+    for (int i = 0; i < lengths[static_cast<size_t>(b)] * d; ++i) {
+      x[static_cast<size_t>(b) * t * d + static_cast<size_t>(i)] =
+          xrng.NextFloat() * 2.0f - 1.0f;
+    }
+  }
+  const nn::Tensor e_q = nn::Tensor::FromData({bsz, t, d}, std::move(x));
+  const nn::Tensor schema = SparseRandom(n, d, 47);
+  nn::quant::CalibrateModule(layer);
+
+  nn::NoGradGuard no_grad;
+  for (const char* impl : Impls()) {
+    ASSERT_TRUE(nn::kernels::SetActiveImpl(impl));
+    nn::Tensor float_out;
+    for (const bool int8 : {false, true}) {
+      SCOPED_TRACE(std::string(impl) + (int8 ? " int8" : " float"));
+      nn::quant::Int8Guard guard(int8);
+      const nn::Tensor fresh = layer.ForwardBatch(e_q, schema, lengths);
+      const nn::AttentionKv kv = layer.ProjectSchemaKv(schema);
+      const nn::Tensor memo = layer.ForwardBatch(e_q, schema, lengths, &kv);
+      EXPECT_TRUE(SameBits(fresh, memo));
+      // Reusing the memo for a second batch changes nothing either.
+      EXPECT_TRUE(
+          SameBits(fresh, layer.ForwardBatch(e_q, schema, lengths, &kv)));
+      if (!int8) {
+        float_out = fresh;
+      } else {
+        EXPECT_FALSE(SameBits(fresh, float_out))
+            << "the int8 path never engaged";
+      }
+    }
+  }
+}
+
+struct Env {
+  db::Database imdb = workload::MakeImdbDatabase(5, 0.02);
+  std::vector<db::TableStats> stats;
+  std::unique_ptr<text::SqlTokenizer> tokenizer;
+  automaton::Automaton fa;
+  schema::SchemaGraph graph;
+  std::vector<std::string> corpus;
+
+  Env() {
+    db::StatsCollector collector;
+    stats = collector.AnalyzeAll(imdb);
+    tokenizer = std::make_unique<text::SqlTokenizer>(imdb.catalog(), stats, 8);
+    workload::ImdbQueryGenerator gen(imdb, 17);
+    for (const auto& q : gen.Synthetic(12, 2)) corpus.push_back(q.sql);
+    automaton::TemplateExtractor extractor(0.2);
+    fa = extractor.BuildAutomaton(corpus);
+    graph = schema::SchemaGraph::Build(imdb.catalog());
+  }
+
+  std::unique_ptr<core::PreqrModel> MakeModel(uint64_t seed) const {
+    return std::make_unique<core::PreqrModel>(
+        core::PreqrConfig(), tokenizer.get(), &fa, &graph, seed);
+  }
+};
+
+const Env& E() {
+  static const Env* env = new Env();
+  return *env;
+}
+
+PreqrEncoder::Options EncoderOptions(bool int8) {
+  PreqrEncoder::Options options;
+  options.use_int8 = int8;
+  return options;
+}
+
+// Every corpus query through `served` equals a fresh encoder of the same
+// kind over `model`, bit for bit. `served` encodes first: a fresh int8
+// encoder re-calibrates the shared model's shadows in its ctor.
+void ExpectMatchesFreshEncoder(PreqrEncoder& served, core::PreqrModel* model,
+                               bool int8) {
+  const auto got = served.TryEncodeVectorBatch(E().corpus, /*train=*/false);
+  PreqrEncoder fresh(model, EncoderOptions(int8));
+  const auto want = fresh.TryEncodeVectorBatch(E().corpus, /*train=*/false);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok() && want[i].ok()) << E().corpus[i];
+    EXPECT_TRUE(SameBits(got[i].value(), want[i].value()))
+        << (int8 ? "int8 " : "float ") << "encode differs from a fresh "
+        << "encoder: " << E().corpus[i];
+  }
+}
+
+class EncoderMemoTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EncoderMemoTest, ReloadMatchesFreshEncoder) {
+  const bool int8 = GetParam();
+  // One file per parameter: ctest runs the two instances concurrently.
+  const std::string path = testing::TempDir() + "/schema_kv_memo_reload_" +
+                           (int8 ? "int8" : "float") + ".prm";
+  ASSERT_TRUE(nn::SaveModule(*E().MakeModel(53), path).ok());
+
+  auto served = E().MakeModel(29);
+  PreqrEncoder encoder(served.get(), EncoderOptions(int8));
+  serving::EncoderService service(&encoder);
+  service.AttachModel(served.get());
+  ASSERT_TRUE(service.Encode(E().corpus.front()).ok());  // warm the memo
+  ASSERT_TRUE(service.ReloadModel(path).ok());
+  std::remove(path.c_str());
+  ExpectMatchesFreshEncoder(encoder, served.get(), int8);
+}
+
+// One fine-tuning step on the last layer: sum-of-squares loss over a few
+// train-mode encodes, then an Adam step.
+void FineTuneStep(PreqrEncoder& encoder, bool begin_step) {
+  nn::Adam adam(encoder.TrainableParameters(), 5e-2f);
+  adam.ZeroGrad();
+  if (begin_step) encoder.BeginStep(/*train=*/true);
+  nn::Tensor loss;
+  for (size_t i = 0; i < 4; ++i) {
+    nn::Tensor v = encoder.EncodeVector(E().corpus[i], /*train=*/true);
+    nn::Tensor l = nn::Sum(nn::Mul(v, v));
+    loss = loss.defined() ? nn::Add(loss, l) : l;
+  }
+  loss.Backward();
+  adam.Step();
+  if (begin_step) encoder.BeginStep(/*train=*/false);
+}
+
+// The int8 case is the regression pin for int8 encoders serving the
+// shadows calibrated before fine-tuning.
+TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
+  const bool int8 = GetParam();
+  auto model = E().MakeModel(31);
+  PreqrEncoder encoder(model.get(), EncoderOptions(int8));
+  // Warm every prefix with an inference encode first: the prefix cache
+  // keeps whichever mode computed an entry first, and a fresh int8
+  // encoder computes its prefixes under int8.
+  for (const auto& v : encoder.TryEncodeVectorBatch(E().corpus, false)) {
+    ASSERT_TRUE(v.ok());
+  }
+  FineTuneStep(encoder, /*begin_step=*/true);
+  ExpectMatchesFreshEncoder(encoder, model.get(), int8);
+  // Without the BeginStep hooks the train-mode encodes alone mark the
+  // last layer stale.
+  FineTuneStep(encoder, /*begin_step=*/false);
+  ExpectMatchesFreshEncoder(encoder, model.get(), int8);
+}
+
+INSTANTIATE_TEST_SUITE_P(FloatAndInt8, EncoderMemoTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Int8" : "Float";
+                         });
+
+}  // namespace
+}  // namespace preqr::tasks
