@@ -321,10 +321,19 @@ void BM_MatMulKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernel)->Arg(96)->Arg(192);
 
-// --- Kernel dispatch backends (scalar vs AVX2 vs int8) -------------------
-// The same square GEMM through each kernel table directly, so the ISSUE's
-// AVX2-over-scalar speedup is measured at the kernel floor with no
-// dispatch-table indirection in the loop body.
+// --- Kernel dispatch backends (scalar vs AVX2 vs AVX-512 vs int8) --------
+// The same square GEMM through each kernel table directly, so each
+// backend's speedup is measured at the kernel floor with no dispatch-table
+// indirection in the loop body.
+
+// Pins the global pool to one thread for a benchmark's lifetime, so the
+// avx512 variants report single-thread kernel time whatever
+// PREQR_NUM_THREADS says.
+class SingleThreadPool {
+ public:
+  SingleThreadPool() { ThreadPool::SetGlobalThreads(1); }
+  ~SingleThreadPool() { ThreadPool::SetGlobalThreads(0); }
+};
 
 void MatMulImplBench(benchmark::State& state,
                      const nn::kernels::KernelTable& table) {
@@ -355,6 +364,16 @@ void BM_MatMulKernelAvx2(benchmark::State& state) {
   MatMulImplBench(state, *nn::kernels::Avx2Table());
 }
 BENCHMARK(BM_MatMulKernelAvx2)->Arg(96)->Arg(192);
+
+void BM_MatMulKernelAvx512(benchmark::State& state) {
+  if (!nn::kernels::Avx512Supported()) {
+    state.SkipWithError("AVX-512F unavailable on this host");
+    return;
+  }
+  SingleThreadPool single;
+  MatMulImplBench(state, *nn::kernels::Avx512Table());
+}
+BENCHMARK(BM_MatMulKernelAvx512)->Arg(96)->Arg(192);
 
 // The int8 path pays per-row activation quantization inside the loop, as
 // the encode path does.
@@ -408,6 +427,12 @@ void BM_EncodeNoGradAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeNoGradAvx2);
 
+void BM_EncodeNoGradAvx512(benchmark::State& state) {
+  SingleThreadPool single;
+  EncodeNoGradImplBench(state, "avx512", /*use_int8=*/false);
+}
+BENCHMARK(BM_EncodeNoGradAvx512);
+
 void BM_EncodeNoGradInt8(benchmark::State& state) {
   EncodeNoGradImplBench(
       state, nn::kernels::Avx2Supported() ? "avx2" : "scalar",
@@ -418,8 +443,9 @@ BENCHMARK(BM_EncodeNoGradInt8);
 // The encode path's GEMM shape: 34 token rows of width 64 against a
 // [64, n] weight, n swept over the model's output widths (d_model, the
 // schema node count, the FFN width). Runs the active table's kernel, so
-// the AVX2 row blocking (64-, 32-, 8-wide and masked tail) shows here.
-void BM_MatMulRow(benchmark::State& state) {
+// the table's row blocking (64-wide blocks and a masked tail) shows here.
+void MatMulRowBench(benchmark::State& state,
+                    const nn::kernels::KernelTable& table) {
   const int m = 34, k = 64;
   const int n = static_cast<int>(state.range(0));
   Rng rng(17);
@@ -428,7 +454,6 @@ void BM_MatMulRow(benchmark::State& state) {
   std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
   for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
   for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-  const nn::kernels::KernelTable& table = nn::kernels::Active();
   for (auto _ : state) {
     std::fill(out.begin(), out.end(), 0.0f);
     table.MatMulForward(a.data(), b.data(), out.data(), m, k, n);
@@ -437,7 +462,21 @@ void BM_MatMulRow(benchmark::State& state) {
   state.SetLabel(table.name);
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
 }
+
+void BM_MatMulRow(benchmark::State& state) {
+  MatMulRowBench(state, nn::kernels::Active());
+}
 BENCHMARK(BM_MatMulRow)->Arg(64)->Arg(92)->Arg(128);
+
+void BM_MatMulRowAvx512(benchmark::State& state) {
+  if (!nn::kernels::Avx512Supported()) {
+    state.SkipWithError("AVX-512F unavailable on this host");
+    return;
+  }
+  SingleThreadPool single;
+  MatMulRowBench(state, *nn::kernels::Avx512Table());
+}
+BENCHMARK(BM_MatMulRowAvx512)->Arg(64)->Arg(92)->Arg(128);
 
 // One Trm_g layer's schema cross attention at the serving shape: a B=1
 // batch of T=34 query rows attending over N=92 schema nodes (d=64, 4

@@ -105,7 +105,7 @@ import json
 with open("build-tsan/BENCH_serving.json") as f:
     doc = json.load(f)
 points = doc["points"]
-assert doc.get("kernel_impl") in ("scalar", "avx2"), \
+assert doc.get("kernel_impl") in ("scalar", "avx2", "avx512"), \
     f"bad kernel_impl: {doc.get('kernel_impl')!r}"
 assert len(points) >= 3, f"expected >=3 load points, got {len(points)}"
 assert doc["tenants"] == 2, f"expected tenants=2, got {doc.get('tenants')}"
@@ -132,7 +132,7 @@ fi
 if [[ "${SKIP_SIMD:-0}" == "1" ]]; then
   echo "== SIMD stage skipped (SKIP_SIMD=1) =="
 else
-  echo "== SIMD: kernel dispatch parity under both impls + UBSan on the quant path =="
+  echo "== SIMD: kernel dispatch parity under every impl + UBSan on the quant path =="
   # The kernel-parity suite under each forced impl: PREQR_KERNEL_IMPL must
   # actually steer dispatch, and the per-impl determinism contract must
   # hold whichever table is active. The encode suites re-run under the
@@ -140,13 +140,15 @@ else
   # and keeps the B=1-versus-mixed-batch bitwise pins.
   PREQR_KERNEL_IMPL=scalar ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=avx2 ./build/tests/kernel_dispatch_test
+  PREQR_KERNEL_IMPL=avx512 ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/nn_ops_grad_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/batch_invariance_test
   # The schema cross-attention memo (fresh-versus-memo layer bits, reload
   # and fine-tune freshness of the encoder's memo and int8 shadows) and the
   # encoder golden pins under each forced impl. The AVX2 GEMM contract
-  # suite (Avx2GemmContractTest) rides in kernel_dispatch_test above.
-  for impl in scalar avx2; do
+  # suite (Avx2GemmContractTest) and the AVX-512-equals-AVX2 suite
+  # (Avx512ParityTest) ride in kernel_dispatch_test above.
+  for impl in scalar avx2 avx512; do
     PREQR_KERNEL_IMPL=$impl ./build/tests/schema_kv_memo_test
     PREQR_KERNEL_IMPL=$impl ./build/tests/encoder_golden_test
     PREQR_KERNEL_IMPL=$impl ./build/tests/kernel_dispatch_test \

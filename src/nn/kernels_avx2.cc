@@ -24,12 +24,12 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "nn/kernels_avx2_inl.h"
 
 namespace preqr::nn::kernels::avx2 {
 namespace {
@@ -121,15 +121,6 @@ inline float HSum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-inline float HMax8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_max_ps(lo, hi);
-  s = _mm_max_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
 // Columns [j0, j0 + 8 * kVecs) of one GEMM output row, held in kVecs
 // accumulators across the whole kk sweep: one zero-skip branch and one
 // broadcast per kk feed kVecs independent FMA chains. With kMaskLast the
@@ -204,24 +195,11 @@ inline void MatMulRowFma(const float* arow, const float* b, float* orow,
   }
 }
 
-// One softmax row of width d: vector max (exact, order-free), per-element
-// Exp8 through Map8, then a sequential j-order sum — one fixed reduction
-// order per width, shared by SoftmaxForward and MaskedSoftmaxForward.
+// One softmax row of width d: SoftmaxRowMax, per-element Exp8 through
+// Map8, then a sequential j-order sum — one fixed reduction order per
+// width, shared by SoftmaxForward and MaskedSoftmaxForward.
 inline void SoftmaxRow(const float* in, float* o, int d) {
-  float mx;
-  if (d >= 8) {
-    __m256 m8 = _mm256_loadu_ps(in);
-    int j = 8;
-    for (; j + 8 <= d; j += 8) {
-      m8 = _mm256_max_ps(m8, _mm256_loadu_ps(in + j));
-    }
-    mx = HMax8(m8);
-    for (; j < d; ++j) mx = std::max(mx, in[j]);
-  } else {
-    mx = in[0];
-    for (int j = 1; j < d; ++j) mx = std::max(mx, in[j]);
-  }
-  const __m256 mx8 = _mm256_set1_ps(mx);
+  const __m256 mx8 = _mm256_set1_ps(SoftmaxRowMax(in, d));
   Map8(in, o, static_cast<size_t>(d),
        [mx8](__m256 v) { return Exp8(_mm256_sub_ps(v, mx8)); });
   float sum = 0.0f;

@@ -9,6 +9,9 @@
 #if defined(PREQR_HAVE_AVX2)
 #include "nn/kernels_avx2.h"
 #endif
+#if defined(PREQR_HAVE_AVX512)
+#include "nn/kernels_avx512.h"
+#endif
 
 namespace preqr::nn::kernels {
 namespace {
@@ -49,12 +52,52 @@ const KernelTable kAvx2Table = {
 };
 #endif
 
+#if defined(PREQR_HAVE_AVX512)
+// Bitwise identical to kAvx2Table for every input: the GEMM, softmax and
+// GELU entries are 16-lane, 4-row-blocked versions of the same per-element
+// operation sequences; every other entry is the avx2 one.
+const KernelTable kAvx512Table = {
+    "avx512",
+    &avx512::MatMulForward,
+    &avx2::AddBiasForward,
+    &avx2::ReluForward,
+    &avx512::GeluForward,
+    &avx2::TanhForward,
+    &avx2::SigmoidForward,
+    &avx512::SoftmaxForward,
+    &avx2::LayerNormForward,
+    &avx512::BatchedMatMulNTForward,
+    &avx512::BatchedMatMulNNForward,
+    &avx512::MaskedSoftmaxForward,
+    &avx2::MaskedLayerNormForward,
+    &avx2::Int8GemmForward,
+};
+#endif
+
 bool CpuHasAvx2Fma() {
 #if defined(PREQR_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
+}
+
+#if defined(PREQR_HAVE_AVX512)
+bool CpuHasAvx512f() {
+#if defined(__GNUC__) || defined(__clang__)
+  return CpuHasAvx2Fma() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+#endif
+
+// The fastest table this build and CPU support: avx512, then avx2, then
+// scalar.
+const KernelTable* BestTable() {
+  if (const KernelTable* t = Avx512Table()) return t;
+  if (const KernelTable* t = Avx2Table()) return t;
+  return &kScalarTable;
 }
 
 const KernelTable* SelectAtStartup() {
@@ -68,13 +111,21 @@ const KernelTable* SelectAtStartup() {
                    "backend is unavailable; falling back to scalar\n");
       return &kScalarTable;
     }
+    if (std::strcmp(env, "avx512") == 0) {
+      if (const KernelTable* t = Avx512Table()) return t;
+      const KernelTable* t = BestTable();
+      std::fprintf(stderr,
+                   "[kernels] PREQR_KERNEL_IMPL=avx512 requested but the "
+                   "AVX-512 backend is unavailable; falling back to %s\n",
+                   t->name);
+      return t;
+    }
     std::fprintf(stderr,
-                 "[kernels] unknown PREQR_KERNEL_IMPL='%s' (want scalar|avx2);"
-                 " using the CPUID default\n",
+                 "[kernels] unknown PREQR_KERNEL_IMPL='%s' (want "
+                 "scalar|avx2|avx512); using the CPUID default\n",
                  env);
   }
-  if (const KernelTable* t = Avx2Table()) return t;
-  return &kScalarTable;
+  return BestTable();
 }
 
 std::atomic<const KernelTable*>& ActiveSlot() {
@@ -97,6 +148,17 @@ const KernelTable* Avx2Table() {
 
 bool Avx2Supported() { return Avx2Table() != nullptr; }
 
+const KernelTable* Avx512Table() {
+#if defined(PREQR_HAVE_AVX512)
+  static const bool supported = CpuHasAvx512f();
+  return supported ? &kAvx512Table : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+bool Avx512Supported() { return Avx512Table() != nullptr; }
+
 const KernelTable& Active() {
   return *ActiveSlot().load(std::memory_order_relaxed);
 }
@@ -109,14 +171,12 @@ bool SetActiveImpl(const char* name) {
     ActiveSlot().store(&kScalarTable, std::memory_order_relaxed);
     return true;
   }
-  if (std::strcmp(name, "avx2") == 0) {
-    if (const KernelTable* t = Avx2Table()) {
-      ActiveSlot().store(t, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  return false;
+  const KernelTable* t = nullptr;
+  if (std::strcmp(name, "avx2") == 0) t = Avx2Table();
+  if (std::strcmp(name, "avx512") == 0) t = Avx512Table();
+  if (t == nullptr) return false;
+  ActiveSlot().store(t, std::memory_order_relaxed);
+  return true;
 }
 
 }  // namespace preqr::nn::kernels

@@ -9,9 +9,11 @@ namespace preqr::nn::kernels {
 // Runtime dispatch over the hot *forward* compute kernels. Exactly the
 // kernels that dominate the no-grad encode path have more than one
 // implementation: the portable scalar loops in kernels.cc (the mandatory
-// fallback, bitwise-identical to the pre-dispatch code) and the AVX2/FMA
+// fallback, bitwise-identical to the pre-dispatch code), the AVX2/FMA
 // backend in kernels_avx2.cc (compiled only when the toolchain supports
-// -mavx2 -mfma, selected only when CPUID reports both).
+// -mavx2 -mfma, selected only when CPUID reports both), and the AVX-512F
+// backend in kernels_avx512.cc (compiled when the toolchain also takes
+// -mavx512f, selected only when CPUID reports avx512f as well).
 //
 // Every backward kernel stays scalar and is called directly — training,
 // exact checkpoint resume, and the pinned grad-path determinism tests never
@@ -31,6 +33,10 @@ namespace preqr::nn::kernels {
 //     *differ* from each other in float low bits (FMA contraction and a
 //     polynomial exp); mixed-impl comparisons get tolerances, same-impl
 //     comparisons stay memcmp-exact.
+//   * avx512 — bitwise identical to avx2 for every input. Its GEMM,
+//     softmax and GELU run each element's avx2 operation sequence 16 lanes
+//     and 4 rows at a time; every other entry is the avx2 one. So the avx2
+//     contract and golden pins carry over unchanged.
 //   * int8 GEMM — exact int32 accumulation; identical bits from every
 //     implementation.
 struct KernelTable {
@@ -62,22 +68,29 @@ struct KernelTable {
                           int k, int n);
 };
 
-// The two candidate tables. Avx2Table() is null when the backend was not
+// The candidate tables. Avx2Table() is null when the backend was not
 // compiled in (PREQR_ENABLE_AVX2=OFF or no toolchain support) or the CPU
-// lacks avx2/fma.
+// lacks avx2/fma; Avx512Table() is null likewise, or when the CPU also
+// lacks avx512f.
 const KernelTable& ScalarTable();
 const KernelTable* Avx2Table();
+const KernelTable* Avx512Table();
 
 // True when the AVX2 backend is compiled in AND the CPU reports avx2+fma.
 bool Avx2Supported();
+// True when the AVX-512 backend is compiled in AND the CPU reports
+// avx512f+avx2+fma.
+bool Avx512Supported();
 
-// The active table. First use selects via PREQR_KERNEL_IMPL=scalar|avx2
-// (an unsupported request falls back to scalar with a stderr note), else
-// CPUID: avx2 when supported, scalar otherwise.
+// The active table. First use selects via
+// PREQR_KERNEL_IMPL=scalar|avx2|avx512 (an unsupported request falls back
+// with a stderr note: avx2 to scalar, avx512 to the best supported table),
+// else CPUID: avx512, then avx2, then scalar.
 const KernelTable& Active();
 const char* ActiveImplName();
 
-// Test/bench hook: re-point the active table by name ("scalar" | "avx2").
+// Test/bench hook: re-point the active table by name ("scalar" | "avx2" |
+// "avx512").
 // Returns false (and leaves the table alone) for an unknown or unsupported
 // name. Not safe to call while kernels are executing on other threads.
 bool SetActiveImpl(const char* name);

@@ -158,8 +158,14 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
     uint64_t valid_tokens = 0;
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
     serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
-    nn::Tensor prefixes =
-        model_->EncodePrefixBatch(batch, schema_, SchemaKv());
+    nn::Tensor prefixes;
+    {
+      // Train-mode misses too: the cache serves this prefix to later
+      // inference encodes, so an int8 encoder always computes it under
+      // int8 and its encodes never depend on which mode missed first.
+      nn::quant::Int8Guard int8(use_int8_);
+      prefixes = model_->EncodePrefixBatch(batch, schema_, SchemaKv());
+    }
     // Slice each example's valid rows back out (tape-free: the cached
     // prefix never carries autograd history).
     nn::NoGradGuard no_grad;
@@ -294,8 +300,9 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
 std::vector<StatusOr<nn::Tensor>> PreqrEncoder::EncodeBatch(
     const std::vector<std::string>& sqls, bool train, bool zero_fallback) {
   PrepareLastLayer(train);
-  // Inference batches opt the whole encode (frozen prefix computation and
-  // the read-out below) into the int8 path. The guard is thread-local and
+  // Inference batches opt the whole encode (the last layer and the read-out
+  // below) into the int8 path; frozen prefixes follow use_int8_ in both
+  // modes (ComputeQueriesBatched). The guard is thread-local and
   // every op dispatches on this thread — kernels only fan *loops* out to
   // the pool — so the switch cannot leak into unrelated work.
   std::optional<nn::quant::Int8Guard> int8;

@@ -29,8 +29,10 @@ class PreqrEncoder : public baselines::QueryEncoder,
     // path: Linear weights get per-tensor symmetric int8 shadows at
     // construction and on every InvalidateCache (i.e. after each model
     // reload), and the last layer's again after fine-tuning; activations
-    // quantize dynamically per row. Training and the one-time schema
-    // encoding stay float. See nn/quant.h.
+    // quantize dynamically per row. The cached frozen prefixes are int8 in
+    // train mode too, so an encode never depends on which mode missed
+    // first. Training's last layer and the one-time schema encoding stay
+    // float. See nn/quant.h.
     bool use_int8 = false;
   };
 

@@ -7,7 +7,9 @@
 // path reproduces every one of them exactly. The first pin forces the
 // scalar kernel table so it does not depend on the host's SIMD support; the
 // second pins the same corpus under the AVX2 table (the serving hot path)
-// plus the int8 inference embedding, and skips on hosts without AVX2.
+// plus the int8 inference embedding, and skips on hosts without AVX2. A
+// third test replays the AVX2 pins under the AVX-512 table, which must
+// match them bit for bit.
 //
 // Regenerate (only legitimate after an intentional numerics change):
 //   PREQR_GOLDEN_REGEN=1 ./build/tests/encoder_golden_test
@@ -226,6 +228,16 @@ TEST(EncoderGoldenTest, Avx2EncodeReproducesPinnedBits) {
   if (!nn::kernels::SetActiveImpl("avx2")) {
     GTEST_SKIP() << "AVX2+FMA not available on this host";
   }
+  CheckGolden(PREQR_GOLDEN_AVX2_FILE, /*with_int8=*/true);
+}
+
+// The AVX-512 table is bitwise identical to AVX2 by contract, so it must
+// reproduce the AVX2 pins as they are; it never regenerates them.
+TEST(EncoderGoldenTest, Avx512ReproducesAvx2PinnedBits) {
+  if (!nn::kernels::SetActiveImpl("avx512")) {
+    GTEST_SKIP() << "AVX-512F not available on this host";
+  }
+  if (Regenerating()) GTEST_SKIP() << "the AVX2 pins regenerate under avx2";
   CheckGolden(PREQR_GOLDEN_AVX2_FILE, /*with_int8=*/true);
 }
 

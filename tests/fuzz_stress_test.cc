@@ -517,11 +517,24 @@ TEST(FuzzKernelPathTest, CorpusAndFuzzStreamAgreeAcrossKernelPaths) {
             << "slot " << i << " dim " << j << ": " << sqls[i];
       }
     }
+    // The avx512 table's contract is stronger: the avx2 bits exactly.
+    if (nn::kernels::Avx512Supported()) {
+      ASSERT_TRUE(nn::kernels::SetActiveImpl("avx512"));
+      const auto wide = encode_all(/*use_int8=*/false);
+      for (size_t i = 0; i < sqls.size(); ++i) {
+        ASSERT_EQ(wide[i].ok(), avx_a[i].ok())
+            << "avx512 Status parity: " << sqls[i];
+        if (!wide[i].ok()) continue;
+        ExpectBitwiseEqual(wide[i].value().vec(), avx_a[i].value().vec(),
+                           "avx512 vs avx2: " + sqls[i]);
+      }
+    }
   }
   std::printf("[fuzz] kernel paths: %zu queries (%d ok, %d rejected), worst "
-              "int8 drift %.4f, avx2 %s\n",
+              "int8 drift %.4f, avx2 %s, avx512 %s\n",
               sqls.size(), ok_slots, error_slots, worst_drift,
-              nn::kernels::Avx2Supported() ? "exercised" : "unavailable");
+              nn::kernels::Avx2Supported() ? "exercised" : "unavailable",
+              nn::kernels::Avx512Supported() ? "exercised" : "unavailable");
   ASSERT_TRUE(nn::kernels::SetActiveImpl(entry_impl));
 }
 

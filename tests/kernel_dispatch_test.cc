@@ -1,6 +1,8 @@
 // Runtime kernel-dispatch tests: impl selection, scalar-vs-AVX2 parity,
-// the per-impl determinism contract (same impl => bitwise-stable across
-// batch compositions), and the int8 quantized GEMM path.
+// AVX-512-vs-AVX2 bitwise parity, the per-impl determinism contract (same
+// impl => bitwise-stable across batch compositions), and the int8
+// quantized GEMM path.
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
 #include "nn/module.h"
@@ -23,6 +26,8 @@ namespace {
 
 using kernels::Avx2Supported;
 using kernels::Avx2Table;
+using kernels::Avx512Supported;
+using kernels::Avx512Table;
 using kernels::KernelTable;
 using kernels::ScalarTable;
 
@@ -67,9 +72,17 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
 TEST(KernelDispatchTest, EnvSelectionHonored) {
   const char* want = std::getenv("PREQR_KERNEL_IMPL");
   if (want == nullptr) GTEST_SKIP() << "PREQR_KERNEL_IMPL not set";
+  const std::string best = Avx512Supported() ? "avx512"
+                           : Avx2Supported()  ? "avx2"
+                                              : "scalar";
   std::string expected(want);
-  if (expected != "scalar" && !(expected == "avx2" && Avx2Supported())) {
+  if (expected == "avx2" && !Avx2Supported()) {
+    expected = "scalar";  // fallback note case
+  } else if (expected == "avx512" && !Avx512Supported()) {
     expected = Avx2Supported() ? "avx2" : "scalar";  // fallback note case
+  } else if (expected != "scalar" && expected != "avx2" &&
+             expected != "avx512") {
+    expected = best;  // unknown name: the CPUID default
   }
   EXPECT_EQ(std::string(kernels::ActiveImplName()), expected);
 }
@@ -91,6 +104,14 @@ TEST(KernelDispatchTest, SetActiveImplRoundTrips) {
     EXPECT_FALSE(kernels::SetActiveImpl("avx2"));
     EXPECT_STREQ(kernels::ActiveImplName(), "scalar");
   }
+  ASSERT_TRUE(kernels::SetActiveImpl("scalar"));
+  if (Avx512Supported()) {
+    ASSERT_TRUE(kernels::SetActiveImpl("avx512"));
+    EXPECT_STREQ(kernels::ActiveImplName(), "avx512");
+  } else {
+    EXPECT_FALSE(kernels::SetActiveImpl("avx512"));
+    EXPECT_STREQ(kernels::ActiveImplName(), "scalar");
+  }
 }
 
 TEST(KernelDispatchTest, UnknownImplRejectedAndTableUnchanged) {
@@ -105,6 +126,11 @@ TEST(KernelDispatchTest, Avx2TablePresenceMatchesSupport) {
   if (Avx2Supported()) {
     ASSERT_NE(Avx2Table(), nullptr);
     EXPECT_STREQ(Avx2Table()->name, "avx2");
+  }
+  if (Avx512Supported()) {
+    ASSERT_NE(Avx512Table(), nullptr);
+    EXPECT_STREQ(Avx512Table()->name, "avx512");
+    EXPECT_TRUE(Avx2Supported()) << "the avx512 table reuses avx2 entries";
   }
 }
 
@@ -136,6 +162,11 @@ TEST_F(ParityTest, MatMul) {
 // ReLU-sparse schema activations.
 class Avx2GemmContractTest : public ParityTest {};
 
+// Output widths around every vector and block boundary of both SIMD GEMMs.
+const int kGemmWidths[] = {1,  2,  3,  4,  5,   6,   7,   8,   9,   15,
+                           16, 17, 31, 32, 33,  53,  63,  64,  65,  92,
+                           96, 127, 128, 129, 130};
+
 std::vector<float> FmaChainReference(const std::vector<float>& a,
                                      const std::vector<float>& b, int m,
                                      int k, int n) {
@@ -155,12 +186,9 @@ std::vector<float> FmaChainReference(const std::vector<float>& a,
 }
 
 TEST_F(Avx2GemmContractTest, MatchesFmaChainBitwiseAtEveryWidth) {
-  const int widths[] = {1,  2,  3,  4,  5,   6,   7,   8,   9,   15,
-                        16, 17, 31, 32, 33,  53,  63,  64,  65,  92,
-                        96, 127, 128, 129, 130};
   const int m = 5;
   for (const int k : {37, 64}) {
-    for (const int n : widths) {
+    for (const int n : kGemmWidths) {
       auto a = RandVec(size_t(m) * k, 101 + uint64_t(n));
       for (size_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;  // ~50% zeros
       for (size_t i = 1; i < a.size(); i += 7) a[i] = 0.0f;
@@ -408,6 +436,193 @@ TEST_F(ParityTest, MaskedKernelsMatchScalarWithinTolerance) {
   EXPECT_LT(MaxRelDiff(vln, sln), 1e-4f);
 }
 
+// --- avx512 vs avx2: bitwise identical for every input --------------------
+
+// The avx512 table's contract (kernels_avx512.cc): each replaced entry
+// returns exactly the avx2 entry's bits. Every case runs at 1, 2 and 8 pool
+// threads, so the 4-row blocks land on different chunk boundaries.
+class Avx512ParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!Avx512Supported()) GTEST_SKIP() << "no AVX-512F on this host";
+  }
+  void TearDown() override { ThreadPool::SetGlobalThreads(0); }
+
+  template <typename F>
+  static void AtEachThreadCount(F body) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool::SetGlobalThreads(threads);
+      body();
+    }
+  }
+};
+
+const int kParityRows[] = {1, 2, 3, 4, 5, 7, 34};
+
+// ~50% exact zeros, a share of them -0.0 (skipped like +0.0).
+std::vector<float> SparseVec(size_t n, uint64_t seed) {
+  auto v = RandVec(n, seed);
+  for (size_t i = 0; i < v.size(); i += 2) v[i] = 0.0f;
+  for (size_t i = 1; i < v.size(); i += 7) v[i] = 0.0f;
+  for (size_t i = 4; i < v.size(); i += 6) v[i] = -0.0f;
+  return v;
+}
+
+TEST_F(Avx512ParityTest, ReusesAvx2EntriesItDoesNotReplace) {
+  const KernelTable& w = *Avx512Table();
+  const KernelTable& n = *Avx2Table();
+  EXPECT_EQ(w.AddBiasForward, n.AddBiasForward);
+  EXPECT_EQ(w.ReluForward, n.ReluForward);
+  EXPECT_EQ(w.TanhForward, n.TanhForward);
+  EXPECT_EQ(w.SigmoidForward, n.SigmoidForward);
+  EXPECT_EQ(w.LayerNormForward, n.LayerNormForward);
+  EXPECT_EQ(w.MaskedLayerNormForward, n.MaskedLayerNormForward);
+  EXPECT_EQ(w.Int8GemmForward, n.Int8GemmForward);
+}
+
+// GEMM accumulates into `out`, so it starts from random values, not zeros.
+TEST_F(Avx512ParityTest, MatMulMatchesAvx2Bitwise) {
+  AtEachThreadCount([] {
+    for (const int m : kParityRows) {
+      for (const int k : {37, 64}) {
+        for (const int n : kGemmWidths) {
+          const uint64_t seed = uint64_t(m) * 1000 + uint64_t(k) * 3 + n;
+          const auto a = SparseVec(size_t(m) * k, seed);
+          const auto b = RandVec(size_t(k) * n, seed + 1);
+          auto w = RandVec(size_t(m) * n, seed + 2);
+          auto ref = w;
+          Avx512Table()->MatMulForward(a.data(), b.data(), w.data(), m, k, n);
+          Avx2Table()->MatMulForward(a.data(), b.data(), ref.data(), m, k, n);
+          EXPECT_TRUE(BitwiseEqual(w, ref))
+              << "m=" << m << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  });
+}
+
+TEST_F(Avx512ParityTest, AllZeroRowsIgnoreNanPoisonedB) {
+  const int k = 64;
+  AtEachThreadCount([] {
+    for (const int m : kParityRows) {
+      for (const int n : {7, 16, 53, 64, 92, 130}) {
+        auto a = RandVec(size_t(m) * k, 307 + uint64_t(m));
+        for (int i = 1; i < m; i += 3) {  // pad rows, +0.0 and -0.0
+          for (int kk = 0; kk < k; ++kk) {
+            a[size_t(i) * k + kk] = kk % 3 == 0 ? -0.0f : 0.0f;
+          }
+        }
+        const std::vector<float> b(size_t(k) * n,
+                                   std::numeric_limits<float>::quiet_NaN());
+        std::vector<float> w(size_t(m) * n, 0.0f), ref(size_t(m) * n, 0.0f);
+        Avx512Table()->MatMulForward(a.data(), b.data(), w.data(), m, k, n);
+        Avx2Table()->MatMulForward(a.data(), b.data(), ref.data(), m, k, n);
+        EXPECT_TRUE(BitwiseEqual(w, ref)) << "m=" << m << " n=" << n;
+        for (int i = 0; i < m; ++i) {
+          const float first = w[size_t(i) * n];
+          if (i % 3 == 1) {
+            EXPECT_EQ(std::memcmp(&first, "\0\0\0\0", sizeof(float)), 0)
+                << "pad row " << i << " touched at m=" << m << " n=" << n;
+          } else {
+            EXPECT_TRUE(std::isnan(first)) << "row " << i << " missed b";
+          }
+        }
+      }
+    }
+  });
+}
+
+// Batched attention kernels over masked lengths {0, 1, 3, 4, 5, t}, with
+// NaN in every pad position of the inputs.
+TEST_F(Avx512ParityTest, BatchedKernelsMatchAvx2Bitwise) {
+  AtEachThreadCount([] {
+    for (const int t : {9, 34}) {
+      const std::vector<int> lengths = {0, 1, 3, 4, 5, t};
+      const int bsz = static_cast<int>(lengths.size());
+      for (const int k : {16, 37}) {
+        for (const int dv : {5, 16, 92}) {
+          const uint64_t seed = uint64_t(t) * 100 + uint64_t(k) + dv;
+          auto q = SparseVec(size_t(bsz) * t * k, seed);
+          auto key = RandVec(size_t(bsz) * t * k, seed + 1);
+          auto w = SparseVec(size_t(bsz) * t * t, seed + 2);
+          auto v = RandVec(size_t(bsz) * t * dv, seed + 3);
+          auto logits = RandVec(size_t(bsz) * t * t, seed + 4, 6.0f);
+          for (int b = 0; b < bsz; ++b) {
+            for (int i = lengths[b]; i < t; ++i) {
+              for (int c = 0; c < k; ++c) {
+                q[(size_t(b) * t + i) * k + c] = NAN;
+                key[(size_t(b) * t + i) * k + c] = NAN;
+              }
+              for (int c = 0; c < dv; ++c) {
+                v[(size_t(b) * t + i) * dv + c] = NAN;
+              }
+            }
+            for (int i = 0; i < t; ++i) {
+              for (int c = lengths[b]; c < t; ++c) {
+                w[(size_t(b) * t + i) * t + c] = NAN;
+                logits[(size_t(b) * t + i) * t + c] = NAN;
+              }
+            }
+          }
+          auto run = [&](const KernelTable& tab) {
+            std::vector<float> nt(size_t(bsz) * t * t, 0.0f);
+            std::vector<float> nn(size_t(bsz) * t * dv, 0.0f);
+            std::vector<float> sm(size_t(bsz) * t * t, 0.0f);
+            tab.BatchedMatMulNTForward(q.data(), key.data(), nt.data(), bsz,
+                                       t, k, lengths.data());
+            tab.BatchedMatMulNNForward(w.data(), v.data(), nn.data(), bsz, t,
+                                       dv, lengths.data());
+            tab.MaskedSoftmaxForward(logits.data(), sm.data(), bsz, t,
+                                     lengths.data());
+            nt.insert(nt.end(), nn.begin(), nn.end());
+            nt.insert(nt.end(), sm.begin(), sm.end());
+            return nt;
+          };
+          EXPECT_TRUE(BitwiseEqual(run(*Avx512Table()), run(*Avx2Table())))
+              << "t=" << t << " k=" << k << " dv=" << dv;
+        }
+      }
+    }
+  });
+}
+
+TEST_F(Avx512ParityTest, SoftmaxMatchesAvx2BitwiseAtWidths1To130) {
+  AtEachThreadCount([] {
+    for (const int rows : {1, 4, 7}) {
+      for (int d = 1; d <= 130; ++d) {
+        auto x = RandVec(size_t(rows) * d, 500 + uint64_t(d), 8.0f);
+        if (rows == 7) {  // a row of ties and one with a huge spread
+          std::fill(x.begin(), x.begin() + d, 0.5f);
+          x[size_t(d)] = 90.0f;
+        }
+        std::vector<float> w(x.size()), ref(x.size());
+        Avx512Table()->SoftmaxForward(x.data(), w.data(), rows, d);
+        Avx2Table()->SoftmaxForward(x.data(), ref.data(), rows, d);
+        EXPECT_TRUE(BitwiseEqual(w, ref)) << "rows=" << rows << " d=" << d;
+      }
+    }
+  });
+}
+
+TEST_F(Avx512ParityTest, GeluMatchesAvx2Bitwise) {
+  for (size_t n = 1; n <= 130; ++n) {
+    const auto x = RandVec(n, 700 + n, 5.0f);
+    std::vector<float> w(n), ref(n);
+    Avx512Table()->GeluForward(x.data(), w.data(), n);
+    Avx2Table()->GeluForward(x.data(), ref.data(), n);
+    EXPECT_TRUE(BitwiseEqual(w, ref)) << "n=" << n;
+  }
+  // Saturation, signed zeros, subnormals and a dense sweep of [-12, 12].
+  std::vector<float> x = {0.0f, -0.0f, 1e-40f, -1e-40f, 100.0f, -100.0f,
+                          1e30f, -1e30f, 88.0f, -88.0f};
+  for (int i = -12000; i <= 12000; ++i) x.push_back(float(i) * 1e-3f);
+  std::vector<float> w(x.size()), ref(x.size());
+  Avx512Table()->GeluForward(x.data(), w.data(), x.size());
+  Avx2Table()->GeluForward(x.data(), ref.data(), x.size());
+  EXPECT_TRUE(BitwiseEqual(w, ref));
+}
+
 // --- int8 path -------------------------------------------------------------
 
 TEST(Int8QuantTest, GuardNestsAndRestores) {
@@ -553,12 +768,8 @@ TEST(Int8QuantTest, OpsMatMulUsesInt8OnlyWhenEligible) {
   quant::Int8Guard q(true);
   Tensor out = MatMul(a, wg);
   std::vector<float> fref2(size_t(m) * n, 0.0f);
-  ScalarTable().MatMulForward(a.data(), wg.data(), fref2.data(), m, k, n);
-  if (Avx2Supported() &&
-      std::string(kernels::ActiveImplName()) == "avx2") {
-    std::fill(fref2.begin(), fref2.end(), 0.0f);
-    Avx2Table()->MatMulForward(a.data(), wg.data(), fref2.data(), m, k, n);
-  }
+  kernels::Active().MatMulForward(a.data(), wg.data(), fref2.data(), m, k,
+                                  n);
   EXPECT_TRUE(BitwiseEqual(out.vec(), fref2));
 }
 

@@ -206,9 +206,7 @@ TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
   const bool int8 = GetParam();
   auto model = E().MakeModel(31);
   PreqrEncoder encoder(model.get(), EncoderOptions(int8));
-  // Warm every prefix with an inference encode first: the prefix cache
-  // keeps whichever mode computed an entry first, and a fresh int8
-  // encoder computes its prefixes under int8.
+  // Warm every prefix and the schema memo with an inference encode first.
   for (const auto& v : encoder.TryEncodeVectorBatch(E().corpus, false)) {
     ASSERT_TRUE(v.ok());
   }
@@ -218,6 +216,30 @@ TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
   // last layer stale.
   FineTuneStep(encoder, /*begin_step=*/false);
   ExpectMatchesFreshEncoder(encoder, model.get(), int8);
+}
+
+// An int8 encoder's prefixes do not depend on history: a train-mode miss
+// caches the prefix a later inference encode reuses, so it must be the
+// int8 prefix a fresh int8 encoder computes.
+TEST(Int8PrefixCacheTest, TrainModeMissCachesTheInt8Prefix) {
+  auto model = E().MakeModel(37);
+  PreqrEncoder encoder(model.get(), EncoderOptions(/*int8=*/true));
+  for (const auto& sql : E().corpus) {
+    ASSERT_TRUE(encoder.TryEncodeVector(sql, /*train=*/true).ok()) << sql;
+  }
+  std::vector<nn::Tensor> got;
+  for (const auto& sql : E().corpus) {
+    auto v = encoder.TryEncodeVector(sql, /*train=*/false);
+    ASSERT_TRUE(v.ok()) << sql;
+    got.push_back(std::move(v).value());
+  }
+  PreqrEncoder fresh(model.get(), EncoderOptions(/*int8=*/true));
+  for (size_t i = 0; i < got.size(); ++i) {
+    auto want = fresh.TryEncodeVector(E().corpus[i], /*train=*/false);
+    ASSERT_TRUE(want.ok()) << E().corpus[i];
+    EXPECT_TRUE(SameBits(got[i], want.value()))
+        << "int8 inference encode reused a float prefix: " << E().corpus[i];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FloatAndInt8, EncoderMemoTest, ::testing::Bool(),
