@@ -314,7 +314,7 @@ void BM_MatMulKernel(benchmark::State& state) {
   for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
   for (auto _ : state) {
     std::fill(out.begin(), out.end(), 0.0f);  // kernel accumulates into out
-    nn::kernels::MatMulForward(a.data(), b.data(), out.data(), n, n, n);
+    nn::kernels::Gemm(a.data(), n, b.data(), n, out.data(), n, n, n, n, {});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
@@ -345,7 +345,7 @@ void MatMulImplBench(benchmark::State& state,
   for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
   for (auto _ : state) {
     std::fill(out.begin(), out.end(), 0.0f);
-    table.MatMulForward(a.data(), b.data(), out.data(), n, n, n);
+    table.Gemm(a.data(), n, b.data(), n, out.data(), n, n, n, n, {});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
@@ -456,7 +456,7 @@ void MatMulRowBench(benchmark::State& state,
   for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
   for (auto _ : state) {
     std::fill(out.begin(), out.end(), 0.0f);
-    table.MatMulForward(a.data(), b.data(), out.data(), m, k, n);
+    table.Gemm(a.data(), k, b.data(), n, out.data(), n, m, k, n, {});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(table.name);

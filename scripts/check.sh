@@ -27,12 +27,12 @@ cmake --build build -j
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSAN stage skipped (SKIP_TSAN=1) =="
 else
-  echo "== TSAN: thread_pool, lru_cache, serving, determinism, batch_invariance, nn_ops_grad, grad_mode, buffer_pool, checkpoint =="
+  echo "== TSAN: thread_pool, lru_cache, serving, determinism, batch_invariance, nn_ops_grad, fused_forward_parity, grad_mode, buffer_pool, checkpoint =="
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target thread_pool_test \
     --target lru_cache_test --target serving_test \
     --target parallel_determinism_test --target batch_invariance_test \
-    --target nn_ops_grad_test \
+    --target nn_ops_grad_test --target fused_forward_parity_test \
     --target grad_mode_test --target buffer_pool_test \
     --target checkpoint_test --target checkpoint_resume_test
   # Force a multi-threaded pool so races are actually exercised even on
@@ -46,6 +46,10 @@ else
   ./build-tsan/tests/batch_invariance_test
   ./build-tsan/tests/nn_ops_grad_test \
     --gtest_filter='ParallelOpsGradTest.*:BatchedOpsGradTest.*'
+  # The fused forward ops (Gemm epilogues, SoftmaxRows, Affine, the
+  # attention op's per-(example, head) ParallelFor and its per-thread
+  # scratch) against their composed references, at up to 8 pool threads.
+  ./build-tsan/tests/fused_forward_parity_test
   # Death tests fork, which TSAN dislikes; the abort paths are covered in
   # the tier-1 run above.
   ./build-tsan/tests/grad_mode_test --gtest_filter='-*DeathTest*'
@@ -145,10 +149,15 @@ else
   PREQR_KERNEL_IMPL=scalar ./build/tests/batch_invariance_test
   # The schema cross-attention memo (fresh-versus-memo layer bits, reload
   # and fine-tune freshness of the encoder's memo and int8 shadows) and the
-  # encoder golden pins under each forced impl. The AVX2 GEMM contract
-  # suite (Avx2GemmContractTest) and the AVX-512-equals-AVX2 suite
-  # (Avx512ParityTest) ride in kernel_dispatch_test above.
+  # encoder golden pins under each forced impl, plus the fused-forward
+  # parity suite (fused Gemm epilogues, SoftmaxRows, Affine, residual
+  # layer norm and attention against the composed ops, forward and
+  # gradients, at 1/2/8 threads; run bare, it sweeps every table). The
+  # AVX2 GEMM contract suite (Avx2GemmContractTest) and the
+  # AVX-512-equals-AVX2 suite (Avx512ParityTest) ride in
+  # kernel_dispatch_test above.
   for impl in scalar avx2 avx512; do
+    PREQR_KERNEL_IMPL=$impl ./build/tests/fused_forward_parity_test
     PREQR_KERNEL_IMPL=$impl ./build/tests/schema_kv_memo_test
     PREQR_KERNEL_IMPL=$impl ./build/tests/encoder_golden_test
     PREQR_KERNEL_IMPL=$impl ./build/tests/kernel_dispatch_test \

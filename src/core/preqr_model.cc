@@ -36,21 +36,19 @@ Tensor TrmGLayer::ForwardBatch(const Tensor& e_q, const Tensor& schema_nodes,
   if (!schema_nodes.defined()) return q;
   // Query-aware sub-graph transformer (Eq. 5, 7): scaled dot-product
   // attention from query tokens onto the schema graph representation e_G,
-  // residual + layer norms + FFN. The cross attention needs no mask: every
-  // key is a valid schema vertex, and q's pad rows are exactly zero after
-  // the masked trm_ norms, so they produce finite junk that the masked
-  // norms below re-zero without ever reaching a valid row.
+  // residual + layer norms + FFN. Every key is a valid schema vertex; only
+  // the queries' pad rows are skipped (they stay zero throughout).
   Tensor attended = schema_kv != nullptr
-                        ? graph_attention_.Attend(q, *schema_kv)
-                        : graph_attention_.Forward(q, schema_nodes);
-  Tensor e_g = graph_ln1_.ForwardMasked(nn::Add(q, attended), lengths);
-  e_g = graph_ln2_.ForwardMasked(nn::Add(e_g, graph_ffn_.Forward(e_g)),
+                        ? graph_attention_.Attend(q, *schema_kv, lengths)
+                        : graph_attention_.Forward(q, schema_nodes, lengths);
+  Tensor e_g = graph_ln1_.ForwardMasked(q, attended, lengths);
+  e_g = graph_ln2_.ForwardMasked(e_g, graph_ffn_.Forward(e_g, lengths),
                                  lengths);
   // y = Concat(e_q, e_g) (Eq. 8), projected back to d_model so every
   // sub-layer keeps output dimension d_model; normalized so downstream
   // heads see a stable scale across sequence lengths.
-  return fuse_ln_.ForwardMasked(fuse_.Forward(nn::ConcatLastDim({q, e_g})),
-                                lengths);
+  return fuse_ln_.ForwardMasked(
+      fuse_.Forward(nn::ConcatLastDim({q, e_g}), lengths), lengths);
 }
 
 PreqrModel::PreqrModel(PreqrConfig config, const text::SqlTokenizer* tokenizer,
@@ -129,8 +127,8 @@ Tensor PreqrModel::EmbedInputBatch(
   }
   const size_t total = static_cast<size_t>(bsz) * static_cast<size_t>(t);
   // Flattened [B*T] id channels; pads use the same benign ids throughout
-  // (kPadId / state 0 / position 0 / quantile 0) — their rows are junk by
-  // design and the masked layers never let a valid row read them.
+  // (kPadId / state 0 / position 0 / quantile 0) — their gathered rows are
+  // junk by design and the projection below never reads them.
   std::vector<int> tok_ids(batch.ids);
   std::vector<int> state_ids(total, 0);
   std::vector<int> pos_ids(total, 0);
@@ -174,8 +172,10 @@ Tensor PreqrModel::EmbedInputBatch(
   Tensor quant =
       Tensor::FromData({static_cast<int>(total), 1}, std::move(quantiles));
   Tensor composite = nn::ConcatLastDim({tok, state, pos, quant});
-  Tensor h = composite_proj_.Forward(composite);  // [B*T, d]
-  return nn::Reshape(h, {bsz, t, config_.d_model});
+  const int in = composite.dim(1);
+  // The projection skips pad rows, so they leave here as zeros.
+  return composite_proj_.Forward(nn::Reshape(composite, {bsz, t, in}),
+                                 batch.lengths);  // [B, T, d]
 }
 
 Tensor PreqrModel::MlmLogits(const Tensor& token_states) const {

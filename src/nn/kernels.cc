@@ -46,14 +46,15 @@ void ReluForward(const float* x, float* out, size_t n) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+inline float GeluValue(float v) {
+  const float u = kGeluC * (v + 0.044715f * v * v * v);
+  return 0.5f * v * (1.0f + std::tanh(u));
+}
 }  // namespace
 
 void GeluForward(const float* x, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float u = kGeluC * (v + 0.044715f * v * v * v);
-    out[i] = 0.5f * v * (1.0f + std::tanh(u));
-  }
+  for (size_t i = 0; i < n; ++i) out[i] = GeluValue(x[i]);
 }
 
 void TanhForward(const float* x, float* out, size_t n) {
@@ -136,23 +137,51 @@ void SigmoidBackward(const float* y, const float* g, float* dx, size_t n) {
 
 // --- Linear algebra ------------------------------------------------------
 
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n) {
+namespace {
+
+// Output rows [r0, r1) of Gemm. A plain function with by-value operands, so
+// the compiler keeps b, ldb and n in registers across the kk loop; read
+// through a by-reference lambda capture, they are reloaded on every step.
+void GemmRowRange(const float* a, size_t lda, const float* b, size_t ldb,
+                  float* out, size_t ldo, int64_t r0, int64_t r1, int k,
+                  int n, const GemmEpilogue epilogue) {
+  for (int64_t i = r0; i < r1; ++i) {
+    float* orow = out + static_cast<size_t>(i) * ldo;
+    const float* arow = a + static_cast<size_t>(i) * lda;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* brow = b + static_cast<size_t>(kk) * ldb;
+      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+    const float* bias = epilogue.bias;
+    switch (epilogue.kind) {
+      case GemmEpilogue::kNone:
+        break;
+      case GemmEpilogue::kScale:
+        for (int j = 0; j < n; ++j) orow[j] = orow[j] * epilogue.scale;
+        break;
+      case GemmEpilogue::kBias:
+        for (int j = 0; j < n; ++j) orow[j] = orow[j] + bias[j];
+        break;
+      case GemmEpilogue::kBiasGelu:
+        for (int j = 0; j < n; ++j) orow[j] = GeluValue(orow[j] + bias[j]);
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
+          size_t ldo, int m, int k, int n, const GemmEpilogue& epilogue) {
   // Rows of the output are independent, so the row range parallelizes with
   // bitwise-identical results for any thread count (each row runs the same
   // serial ikj loop: streaming access on b and out).
   ParallelFor(0, m, GrainForCost(static_cast<int64_t>(k) * n),
               [&](int64_t r0, int64_t r1) {
-                for (int64_t i = r0; i < r1; ++i) {
-                  float* orow = out + static_cast<size_t>(i) * n;
-                  const float* arow = a + static_cast<size_t>(i) * k;
-                  for (int kk = 0; kk < k; ++kk) {
-                    const float av = arow[kk];
-                    if (av == 0.0f) continue;
-                    const float* brow = b + static_cast<size_t>(kk) * n;
-                    for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-                  }
-                }
+                GemmRowRange(a, lda, b, ldb, out, ldo, r0, r1, k, n,
+                             epilogue);
               });
 }
 
@@ -236,24 +265,22 @@ void TransposeBackward(const float* g, float* da, int m, int n) {
 
 // --- Softmax / layer norm ------------------------------------------------
 
-void SoftmaxForward(const float* x, float* out, size_t rows, int d) {
+void SoftmaxRows(float* x, size_t ld, int rows, int width) {
   // Softmax rows (attention rows) are independent: parallel over rows.
-  ParallelFor(0, static_cast<int64_t>(rows), GrainForCost(d),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const float* in = x + static_cast<size_t>(r) * d;
-                  float* o = out + static_cast<size_t>(r) * d;
-                  float mx = in[0];
-                  for (int j = 1; j < d; ++j) mx = std::max(mx, in[j]);
-                  float sum = 0.0f;
-                  for (int j = 0; j < d; ++j) {
-                    o[j] = std::exp(in[j] - mx);
-                    sum += o[j];
-                  }
-                  const float inv = 1.0f / sum;
-                  for (int j = 0; j < d; ++j) o[j] *= inv;
-                }
-              });
+  ParallelFor(0, rows, GrainForCost(width), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      float* o = x + static_cast<size_t>(r) * ld;
+      float mx = o[0];
+      for (int j = 1; j < width; ++j) mx = std::max(mx, o[j]);
+      float sum = 0.0f;
+      for (int j = 0; j < width; ++j) {
+        o[j] = std::exp(o[j] - mx);
+        sum += o[j];
+      }
+      const float inv = 1.0f / sum;
+      for (int j = 0; j < width; ++j) o[j] *= inv;
+    }
+  });
 }
 
 void SoftmaxBackward(const float* y, const float* g, float* dx, size_t rows,
@@ -595,33 +622,6 @@ void DropoutBackward(const float* g, const float* mask, float* dx, size_t n) {
 // loop that never reads another example's rows, so any ParallelFor split is
 // bitwise-identical to the serial pass and to the single-query kernels.
 
-void BatchedMatMulNTForward(const float* a, const float* bt, float* out,
-                            int bsz, int t, int k, const int* lengths) {
-  const int64_t rows = static_cast<int64_t>(bsz) * t;
-  ParallelFor(0, rows, GrainForCost(static_cast<int64_t>(k) * t),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const int b = static_cast<int>(r / t);
-                  const int i = static_cast<int>(r % t);
-                  const int len = lengths[b];
-                  if (i >= len) continue;  // pad row: stays zero
-                  const float* ab = a + static_cast<size_t>(b) * t * k;
-                  const float* btb = bt + static_cast<size_t>(b) * t * k;
-                  float* orow = out + static_cast<size_t>(r) * t;
-                  const float* arow = ab + static_cast<size_t>(i) * k;
-                  // kk-outer / j-inner with zero-skip: the exact float-op
-                  // sequence of MatMulForward(a_b, Transpose(bt_b)) row i.
-                  for (int kk = 0; kk < k; ++kk) {
-                    const float av = arow[kk];
-                    if (av == 0.0f) continue;
-                    for (int j = 0; j < len; ++j) {
-                      orow[j] += av * btb[static_cast<size_t>(j) * k + kk];
-                    }
-                  }
-                }
-              });
-}
-
 void BatchedMatMulNTBackwardA(const float* g, const float* bt, float* da,
                               int bsz, int t, int k, const int* lengths) {
   const int64_t rows = static_cast<int64_t>(bsz) * t;
@@ -666,30 +666,6 @@ void BatchedMatMulNTBackwardB(const float* g, const float* a, float* dbt,
                     if (gv == 0.0f) continue;
                     const float* arow = ab + static_cast<size_t>(i) * k;
                     for (int kk = 0; kk < k; ++kk) drow[kk] += gv * arow[kk];
-                  }
-                }
-              });
-}
-
-void BatchedMatMulNNForward(const float* w, const float* v, float* out,
-                            int bsz, int t, int dv, const int* lengths) {
-  const int64_t rows = static_cast<int64_t>(bsz) * t;
-  ParallelFor(0, rows, GrainForCost(static_cast<int64_t>(t) * dv),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const int b = static_cast<int>(r / t);
-                  const int i = static_cast<int>(r % t);
-                  const int len = lengths[b];
-                  if (i >= len) continue;
-                  const float* wrow = w + static_cast<size_t>(r) * t;
-                  const float* vb = v + static_cast<size_t>(b) * t * dv;
-                  float* orow = out + static_cast<size_t>(r) * dv;
-                  // Same kk-outer / j-inner order as MatMulForward(w_b, v_b).
-                  for (int kk = 0; kk < len; ++kk) {
-                    const float av = wrow[kk];
-                    if (av == 0.0f) continue;
-                    const float* vrow = vb + static_cast<size_t>(kk) * dv;
-                    for (int j = 0; j < dv; ++j) orow[j] += av * vrow[j];
                   }
                 }
               });
@@ -744,31 +720,6 @@ void BatchedMatMulNNBackwardV(const float* w, const float* g, float* dv,
               });
 }
 
-void MaskedSoftmaxForward(const float* x, float* out, int bsz, int t,
-                          const int* lengths) {
-  const int64_t rows = static_cast<int64_t>(bsz) * t;
-  ParallelFor(0, rows, GrainForCost(t), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int b = static_cast<int>(r / t);
-      const int i = static_cast<int>(r % t);
-      const int len = lengths[b];
-      if (i >= len) continue;  // pad row: stays zero
-      const float* in = x + static_cast<size_t>(r) * t;
-      float* o = out + static_cast<size_t>(r) * t;
-      // SoftmaxForward row body with d = len; entries past len stay zero.
-      float mx = in[0];
-      for (int j = 1; j < len; ++j) mx = std::max(mx, in[j]);
-      float sum = 0.0f;
-      for (int j = 0; j < len; ++j) {
-        o[j] = std::exp(in[j] - mx);
-        sum += o[j];
-      }
-      const float inv = 1.0f / sum;
-      for (int j = 0; j < len; ++j) o[j] *= inv;
-    }
-  });
-}
-
 void MaskedSoftmaxBackward(const float* y, const float* g, float* dx,
                            int bsz, int t, const int* lengths) {
   const int64_t rows = static_cast<int64_t>(bsz) * t;
@@ -788,10 +739,10 @@ void MaskedSoftmaxBackward(const float* y, const float* g, float* dx,
   });
 }
 
-void MaskedLayerNormForward(const float* x, const float* gamma,
-                            const float* beta, float eps, float* out,
-                            float* xhat, float* inv_std, int bsz, int t,
-                            int d, const int* lengths) {
+void MaskedLayerNormForward(const float* x, const float* residual,
+                            const float* gamma, const float* beta, float eps,
+                            float* out, float* xhat, float* inv_std, int bsz,
+                            int t, int d, const int* lengths) {
   const int64_t rows = static_cast<int64_t>(bsz) * t;
   ParallelFor(0, rows, GrainForCost(d), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
@@ -799,6 +750,14 @@ void MaskedLayerNormForward(const float* x, const float* gamma,
       const int i = static_cast<int>(r % t);
       if (i >= lengths[b]) continue;  // pad row: out/xhat stay zero
       const float* row = x + static_cast<size_t>(r) * d;
+      if (residual != nullptr) {
+        // The residual sum lands in out, which the row body below then
+        // reads and overwrites element by element.
+        float* sum = out + static_cast<size_t>(r) * d;
+        AddForward(row, residual + static_cast<size_t>(r) * d, sum,
+                   static_cast<size_t>(d));
+        row = sum;
+      }
       // LayerNormForward row body, verbatim.
       float mean = 0.0f;
       for (int j = 0; j < d; ++j) mean += row[j];

@@ -57,9 +57,34 @@ void TanhBackward(const float* y, const float* g, float* dx, size_t n);
 void SigmoidBackward(const float* y, const float* g, float* dx, size_t n);
 
 // --- Linear algebra ------------------------------------------------------
-// out (m x n) must be zero-filled on entry; a: m x k, b: k x n.
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n);
+// What Gemm applies to an output element once its accumulation chain has
+// ended — the elementwise op that follows the product, fused into its
+// store, with the bits of running that op separately:
+//   kScale:    out = chain * scale           (Scale)
+//   kBias:     out = chain + bias[j]         (AddBias)
+//   kBiasGelu: out = Gelu(chain + bias[j])   (AddBias, then Gelu)
+struct GemmEpilogue {
+  enum Kind { kNone, kScale, kBias, kBiasGelu };
+  Kind kind = kNone;
+  float scale = 1.0f;
+  const float* bias = nullptr;  // [n] for kBias / kBiasGelu
+
+  static GemmEpilogue Scale(float s) { return {kScale, s, nullptr}; }
+  static GemmEpilogue Bias(const float* b) { return {kBias, 1.0f, b}; }
+  static GemmEpilogue BiasGelu(const float* b) {
+    return {kBiasGelu, 1.0f, b};
+  }
+};
+
+// Strided GEMM: for i < m, j < n the element out[i*ldo + j] starts from
+// its current value, adds a[i*lda + kk] * b[kk*ldb + j] for every kk < k
+// with a nonzero a element in ascending kk (the scalar table with a plain
+// multiply-add, the SIMD tables with one fma per step), then applies the
+// epilogue. Rows are independent: any row partition gives the same bits.
+// An all-zero a row leaves its out row untouched by the chain even when b
+// holds inf/NaN.
+void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
+          size_t ldo, int m, int k, int n, const GemmEpilogue& epilogue);
 // da += g * b^T, db += a^T * g (g: m x n).
 void MatMulBackwardA(const float* g, const float* b, float* da, int m, int k,
                      int n);
@@ -81,7 +106,10 @@ void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
                      float w_scale, float* out, int m, int k, int n);
 
 // --- Softmax / layer norm ------------------------------------------------
-void SoftmaxForward(const float* x, float* out, size_t rows, int d);
+// In-place softmax over the first `width` (>= 1) entries of `rows` rows
+// that start `ld` floats apart; entries past width are neither read nor
+// written.
+void SoftmaxRows(float* x, size_t ld, int rows, int width);
 // y is the forward output (softmax probabilities).
 void SoftmaxBackward(const float* y, const float* g, float* dx, size_t rows,
                      int d);
@@ -164,49 +192,38 @@ void DropoutBackward(const float* g, const float* mask, float* dx, size_t n);
 // loop the single-query kernels run, and results are bitwise-independent
 // of batch composition, padded length, and thread count. Pad entries are
 // left untouched by forwards (callers hand in zero-filled outputs, same
-// contract as MatMulForward) and skipped by backwards, so pad gradients
+// contract as Gemm) and skipped by backwards, so pad gradients
 // stay exactly zero.
 
-// Attention scores, one block per example: for i, j < lengths[b],
-//   out[b,i,j] = sum_k a[b,i,k] * bt[b,j,k]
-// with the kk-outer / j-inner accumulation (and zero-skip) of
-// MatMulForward(a_b, Transpose(bt_b)) so each valid row is bitwise equal
-// to the single-query path. a, bt: [bsz, t, k]; out: [bsz, t, t], zeroed.
-void BatchedMatMulNTForward(const float* a, const float* bt, float* out,
-                            int bsz, int t, int k, const int* lengths);
+// Backward of the attention scores out[b,i,j] = sum_k a[b,i,k] * bt[b,j,k]
+// (i, j < lengths[b]; a, bt: [bsz, t, k], out: [bsz, t, t]):
 // da[b,i,:] += g[b,i,:len] * bt[b,:len,:]; dbt[b,j,:] += sum_i g[b,i,j] * a[b,i,:].
 void BatchedMatMulNTBackwardA(const float* g, const float* bt, float* da,
                               int bsz, int t, int k, const int* lengths);
 void BatchedMatMulNTBackwardB(const float* g, const float* a, float* dbt,
                               int bsz, int t, int k, const int* lengths);
 
-// Attention-weighted values: for i < lengths[b],
-//   out[b,i,:] = sum_j w[b,i,j] * v[b,j,:],  j < lengths[b]
-// matching MatMulForward(w_b, v_b) row by row. w: [bsz, t, t],
-// v: [bsz, t, dv]; out: [bsz, t, dv], zeroed.
-void BatchedMatMulNNForward(const float* w, const float* v, float* out,
-                            int bsz, int t, int dv, const int* lengths);
+// Backward of the attention-weighted values out[b,i,:] = sum_j w[b,i,j] *
+// v[b,j,:] (i, j < lengths[b]; w: [bsz, t, t], v: [bsz, t, dv]).
 void BatchedMatMulNNBackwardW(const float* g, const float* v, float* dw,
                               int bsz, int t, int dv, const int* lengths);
 void BatchedMatMulNNBackwardV(const float* w, const float* g, float* dv,
                               int bsz, int t, int dv_dim, const int* lengths);
 
-// Mask-aware softmax over [bsz, t, t] score blocks: valid row i of example
-// b normalizes over its first lengths[b] entries with exactly the
-// SoftmaxForward inner loop (d = lengths[b]); pad entries and pad rows
-// stay zero. out must be zero-filled.
-void MaskedSoftmaxForward(const float* x, float* out, int bsz, int t,
-                          const int* lengths);
+// Backward of the mask-aware softmax over [bsz, t, t] score blocks (valid
+// row i of example b normalized over its first lengths[b] entries).
 void MaskedSoftmaxBackward(const float* y, const float* g, float* dx,
                            int bsz, int t, const int* lengths);
 
 // Row-masked layer norm over [bsz, t, d]: valid rows run the
 // LayerNormForward row body verbatim; pad rows are skipped (out/xhat stay
-// zero-filled). xhat/inv_std optional as in LayerNormForward.
-void MaskedLayerNormForward(const float* x, const float* gamma,
-                            const float* beta, float eps, float* out,
-                            float* xhat, float* inv_std, int bsz, int t,
-                            int d, const int* lengths);
+// zero-filled). xhat/inv_std optional as in LayerNormForward. With a
+// `residual` ([bsz, t, d], optional) a valid row normalizes x + residual,
+// summed elementwise with AddForward's single add into out first.
+void MaskedLayerNormForward(const float* x, const float* residual,
+                            const float* gamma, const float* beta, float eps,
+                            float* out, float* xhat, float* inv_std, int bsz,
+                            int t, int d, const int* lengths);
 // dgamma/dbeta reduce over valid rows only, partitioned over columns with
 // (example, row) ascending accumulation order per column.
 void MaskedLayerNormBackwardParams(const float* g, const float* xhat,

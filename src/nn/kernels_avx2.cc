@@ -5,10 +5,10 @@
 // Determinism contract (see kernels_dispatch.h): results are bitwise-stable
 // across runs, thread counts, and batch compositions *within this backend*.
 // Three rules enforce that:
-//   1. Row routines are shared. The batched kernels call the exact per-row
-//      routine the single-query kernels use (BatchedMatMulNT materializes
-//      the same kᵀ operand the solo Transpose+MatMul path feeds the GEMM),
-//      so a row's bits depend only on its own values and its logical width.
+//   1. Rows are independent. Gemm, SoftmaxRows and the layer norms run
+//      one shared routine per row, so a row's bits depend only on its own
+//      values and its logical width — never on its stride, its neighbors or
+//      how the op layer batches and slices the calls.
 //   2. Elementwise tails go through the same vector routine as full lanes
 //      (copied through a zero-padded stack block), and GEMM tail columns
 //      run through masked vector lanes (a vector FMA lane is the correctly
@@ -125,10 +125,12 @@ inline float HSum8(__m256 v) {
 // accumulators across the whole kk sweep: one zero-skip branch and one
 // broadcast per kk feed kVecs independent FMA chains. With kMaskLast the
 // last vector covers only the lanes set in `mask` (maskload reads zeros
-// elsewhere, maskstore writes only those columns).
+// elsewhere, maskstore writes only those columns). The epilogue runs on
+// the accumulators between the last fma and the store.
 template <int kVecs, bool kMaskLast>
-inline void MatMulRowBlock(const float* arow, const float* b, float* orow,
-                           int k, int n, int j0, __m256i mask) {
+inline void GemmRowBlock(const float* arow, const float* b, size_t ldb,
+                         float* orow, int k, int j0, __m256i mask,
+                         const GemmEpilogue& ep) {
   auto load = [mask](const float* p, int v) {
     if constexpr (kMaskLast) {
       if (v == kVecs - 1) return _mm256_maskload_ps(p + 8 * v, mask);
@@ -143,11 +145,33 @@ inline void MatMulRowBlock(const float* arow, const float* b, float* orow,
     const float av = arow[kk];
     if (av == 0.0f) continue;
     const __m256 a8 = _mm256_set1_ps(av);
-    const float* brow = b + static_cast<size_t>(kk) * n + j0;
+    const float* brow = b + static_cast<size_t>(kk) * ldb + j0;
 #pragma GCC unroll 8
     for (int v = 0; v < kVecs; ++v) {
       acc[v] = _mm256_fmadd_ps(a8, load(brow, v), acc[v]);
     }
+  }
+  switch (ep.kind) {
+    case GemmEpilogue::kNone:
+      break;
+    case GemmEpilogue::kScale: {
+      const __m256 s8 = _mm256_set1_ps(ep.scale);
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_mul_ps(acc[v], s8);
+      break;
+    }
+    case GemmEpilogue::kBias:
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v) {
+        acc[v] = _mm256_add_ps(acc[v], load(ep.bias + j0, v));
+      }
+      break;
+    case GemmEpilogue::kBiasGelu:
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v) {
+        acc[v] = Gelu8(_mm256_add_ps(acc[v], load(ep.bias + j0, v)));
+      }
+      break;
   }
 #pragma GCC unroll 8
   for (int v = 0; v < kVecs; ++v) {
@@ -159,24 +183,23 @@ inline void MatMulRowBlock(const float* arow, const float* b, float* orow,
   }
 }
 
-// One GEMM output row: orow[j] (+)= sum_kk arow[kk] * b[kk*n + j], j < n.
-// Register-blocked over 64 output columns (8 accumulators), then the
-// remaining < 64 columns as one block whose last vector is masked, so a
-// row of any width keeps several independent FMA chains per kk. Per output
-// element the operation sequence is an fma chain over the nonzero kk in
-// ascending order — every block shape, masked lanes included, runs the
-// identical chain, and a vector FMA lane is the correctly rounded fmaf —
-// so an element's bits depend only on (arow, column of b, prior orow
-// value), never on n's divisibility or the blocking boundaries. The
-// av == 0.0f skip preserves the scalar kernel's guarantee that all-zero
-// (pad) rows leave orow untouched even when b carries inf/NaN garbage in
-// pad positions.
-inline void MatMulRowFma(const float* arow, const float* b, float* orow,
-                         int k, int n) {
+// One GEMM output row: orow[j] = ep(orow[j] + sum_kk arow[kk] * b[kk*ldb +
+// j]), j < n. Register-blocked over 64 output columns (8 accumulators),
+// then the remaining < 64 columns as one block whose last vector is
+// masked, so a row of any width keeps several independent FMA chains per
+// kk. Per output element the operation sequence is an fma chain over the
+// nonzero kk in ascending order, then the epilogue's lanewise ops — every
+// block shape, masked lanes included, runs the identical sequence, and a
+// vector FMA lane is the correctly rounded fmaf — so an element's bits
+// depend only on (arow, column of b, prior orow value, bias[j]), never on
+// n's divisibility or the blocking boundaries. The av == 0.0f skip keeps
+// all-zero (pad) rows' chains empty even when b carries inf/NaN garbage.
+inline void GemmRow(const float* arow, const float* b, size_t ldb,
+                    float* orow, int k, int n, const GemmEpilogue& ep) {
   const __m256i all = _mm256_set1_epi32(-1);
   int j0 = 0;
   for (; j0 + 64 <= n; j0 += 64) {
-    MatMulRowBlock<8, false>(arow, b, orow, k, n, j0, all);
+    GemmRowBlock<8, false>(arow, b, ldb, orow, k, j0, all, ep);
   }
   const int rest = n - j0;
   if (rest == 0) return;
@@ -184,23 +207,23 @@ inline void MatMulRowFma(const float* arow, const float* b, float* orow,
       _mm256_cmpgt_epi32(_mm256_set1_epi32(rest - 8 * ((rest - 1) / 8)),
                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   switch ((rest + 7) / 8) {
-    case 1: MatMulRowBlock<1, true>(arow, b, orow, k, n, j0, mask); break;
-    case 2: MatMulRowBlock<2, true>(arow, b, orow, k, n, j0, mask); break;
-    case 3: MatMulRowBlock<3, true>(arow, b, orow, k, n, j0, mask); break;
-    case 4: MatMulRowBlock<4, true>(arow, b, orow, k, n, j0, mask); break;
-    case 5: MatMulRowBlock<5, true>(arow, b, orow, k, n, j0, mask); break;
-    case 6: MatMulRowBlock<6, true>(arow, b, orow, k, n, j0, mask); break;
-    case 7: MatMulRowBlock<7, true>(arow, b, orow, k, n, j0, mask); break;
-    default: MatMulRowBlock<8, true>(arow, b, orow, k, n, j0, mask); break;
+    case 1: GemmRowBlock<1, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 2: GemmRowBlock<2, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 3: GemmRowBlock<3, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 4: GemmRowBlock<4, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 5: GemmRowBlock<5, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 6: GemmRowBlock<6, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    case 7: GemmRowBlock<7, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
+    default: GemmRowBlock<8, true>(arow, b, ldb, orow, k, j0, mask, ep); break;
   }
 }
 
-// One softmax row of width d: SoftmaxRowMax, per-element Exp8 through
-// Map8, then a sequential j-order sum — one fixed reduction order per
-// width, shared by SoftmaxForward and MaskedSoftmaxForward.
-inline void SoftmaxRow(const float* in, float* o, int d) {
-  const __m256 mx8 = _mm256_set1_ps(SoftmaxRowMax(in, d));
-  Map8(in, o, static_cast<size_t>(d),
+// One in-place softmax row of width d: SoftmaxRowMax, per-element Exp8
+// through Map8, then a sequential j-order sum — one fixed reduction order
+// per width.
+inline void SoftmaxRow(float* o, int d) {
+  const __m256 mx8 = _mm256_set1_ps(SoftmaxRowMax(o, d));
+  Map8(o, o, static_cast<size_t>(d),
        [mx8](__m256 v) { return Exp8(_mm256_sub_ps(v, mx8)); });
   float sum = 0.0f;
   for (int j = 0; j < d; ++j) sum += o[j];
@@ -270,13 +293,13 @@ inline int32_t HSumEpi32(__m256i v) {
 
 }  // namespace
 
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n) {
+void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
+          size_t ldo, int m, int k, int n, const GemmEpilogue& epilogue) {
   ParallelFor(0, m, GrainForCost(static_cast<int64_t>(k) * n),
               [&](int64_t r0, int64_t r1) {
                 for (int64_t i = r0; i < r1; ++i) {
-                  MatMulRowFma(a + static_cast<size_t>(i) * k, b,
-                               out + static_cast<size_t>(i) * n, k, n);
+                  GemmRow(a + static_cast<size_t>(i) * lda, b, ldb,
+                          out + static_cast<size_t>(i) * ldo, k, n, epilogue);
                 }
               });
 }
@@ -319,14 +342,12 @@ void SigmoidForward(const float* x, float* out, size_t n) {
   Map8(x, out, n, [](__m256 v) { return Sigmoid8(v); });
 }
 
-void SoftmaxForward(const float* x, float* out, size_t rows, int d) {
-  ParallelFor(0, static_cast<int64_t>(rows), GrainForCost(d),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  SoftmaxRow(x + static_cast<size_t>(r) * d,
-                             out + static_cast<size_t>(r) * d, d);
-                }
-              });
+void SoftmaxRows(float* x, size_t ld, int rows, int width) {
+  ParallelFor(0, rows, GrainForCost(width), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      SoftmaxRow(x + static_cast<size_t>(r) * ld, width);
+    }
+  });
 }
 
 void LayerNormForward(const float* x, const float* gamma, const float* beta,
@@ -345,80 +366,31 @@ void LayerNormForward(const float* x, const float* gamma, const float* beta,
   });
 }
 
-void BatchedMatMulNTForward(const float* a, const float* bt, float* out,
-                            int bsz, int t, int k, const int* lengths) {
-  // Per example: materialize kᵀ exactly as the solo path's Transpose does
-  // (a pure copy — no float ops), then run the shared GEMM row routine. A
-  // valid row's bits therefore equal the solo MatMul(q, Transpose(kh)) row
-  // under this backend. Partitioning per example keeps the scratch local.
-  ParallelFor(0, bsz, 1, [&](int64_t b0, int64_t b1) {
-    std::vector<float> kt;
-    for (int64_t b = b0; b < b1; ++b) {
-      const int len = lengths[b];
-      if (len <= 0) continue;
-      const float* ab = a + static_cast<size_t>(b) * t * k;
-      const float* btb = bt + static_cast<size_t>(b) * t * k;
-      kt.resize(static_cast<size_t>(k) * static_cast<size_t>(len));
-      for (int j = 0; j < len; ++j) {
-        for (int kk = 0; kk < k; ++kk) {
-          kt[static_cast<size_t>(kk) * len + j] =
-              btb[static_cast<size_t>(j) * k + kk];
-        }
-      }
-      for (int i = 0; i < len; ++i) {
-        MatMulRowFma(ab + static_cast<size_t>(i) * k, kt.data(),
-                     out + (static_cast<size_t>(b) * t +
-                            static_cast<size_t>(i)) *
-                               t,
-                     k, len);
-      }
-    }
-  });
-}
-
-void BatchedMatMulNNForward(const float* w, const float* v, float* out,
-                            int bsz, int t, int dv, const int* lengths) {
-  const int64_t rows = static_cast<int64_t>(bsz) * t;
-  ParallelFor(0, rows, GrainForCost(static_cast<int64_t>(t) * dv),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const int b = static_cast<int>(r / t);
-                  const int i = static_cast<int>(r % t);
-                  const int len = lengths[b];
-                  if (i >= len) continue;  // pad row: stays zero
-                  MatMulRowFma(w + static_cast<size_t>(r) * t,
-                               v + static_cast<size_t>(b) * t * dv,
-                               out + static_cast<size_t>(r) * dv, len, dv);
-                }
-              });
-}
-
-void MaskedSoftmaxForward(const float* x, float* out, int bsz, int t,
-                          const int* lengths) {
-  const int64_t rows = static_cast<int64_t>(bsz) * t;
-  ParallelFor(0, rows, GrainForCost(t), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int b = static_cast<int>(r / t);
-      const int i = static_cast<int>(r % t);
-      const int len = lengths[b];
-      if (i >= len) continue;  // pad row: stays zero
-      SoftmaxRow(x + static_cast<size_t>(r) * t,
-                 out + static_cast<size_t>(r) * t, len);
-    }
-  });
-}
-
-void MaskedLayerNormForward(const float* x, const float* gamma,
-                            const float* beta, float eps, float* out,
-                            float* xhat, float* inv_std, int bsz, int t,
-                            int d, const int* lengths) {
+void MaskedLayerNormForward(const float* x, const float* residual,
+                            const float* gamma, const float* beta, float eps,
+                            float* out, float* xhat, float* inv_std, int bsz,
+                            int t, int d, const int* lengths) {
   const int64_t rows = static_cast<int64_t>(bsz) * t;
   ParallelFor(0, rows, GrainForCost(d), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const int b = static_cast<int>(r / t);
       const int i = static_cast<int>(r % t);
       if (i >= lengths[b]) continue;  // pad row: out/xhat stay zero
-      LayerNormRow(x + static_cast<size_t>(r) * d, gamma, beta, eps,
+      const float* row = x + static_cast<size_t>(r) * d;
+      if (residual != nullptr) {
+        // x + residual lands in out (a vector add is the scalar add lane
+        // for lane); LayerNormRow then reads and overwrites it in place.
+        float* sum = out + static_cast<size_t>(r) * d;
+        const float* y = residual + static_cast<size_t>(r) * d;
+        int j = 0;
+        for (; j + 8 <= d; j += 8) {
+          _mm256_storeu_ps(sum + j, _mm256_add_ps(_mm256_loadu_ps(row + j),
+                                                  _mm256_loadu_ps(y + j)));
+        }
+        for (; j < d; ++j) sum[j] = row[j] + y[j];
+        row = sum;
+      }
+      LayerNormRow(row, gamma, beta, eps,
                    out + static_cast<size_t>(r) * d,
                    xhat != nullptr ? xhat + static_cast<size_t>(r) * d
                                    : nullptr,

@@ -4,34 +4,30 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/kernels.h"  // GemmEpilogue
+
 // Declarations for the AVX2/FMA kernel backend. Definitions live in
 // kernels_avx2.cc, which is compiled with -mavx2 -mfma only when CMake's
 // toolchain check passes (PREQR_HAVE_AVX2); callers must gate on
 // kernels::Avx2Supported() before invoking any of these.
 namespace preqr::nn::kernels::avx2 {
 
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n);
+void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
+          size_t ldo, int m, int k, int n, const GemmEpilogue& epilogue);
 void AddBiasForward(const float* x, const float* bias, float* out,
                     size_t rows, int d);
 void ReluForward(const float* x, float* out, size_t n);
 void GeluForward(const float* x, float* out, size_t n);
 void TanhForward(const float* x, float* out, size_t n);
 void SigmoidForward(const float* x, float* out, size_t n);
-void SoftmaxForward(const float* x, float* out, size_t rows, int d);
+void SoftmaxRows(float* x, size_t ld, int rows, int width);
 void LayerNormForward(const float* x, const float* gamma, const float* beta,
                       float eps, float* out, float* xhat, float* inv_std,
                       int n, int d);
-void BatchedMatMulNTForward(const float* a, const float* bt, float* out,
-                            int bsz, int t, int k, const int* lengths);
-void BatchedMatMulNNForward(const float* w, const float* v, float* out,
-                            int bsz, int t, int dv, const int* lengths);
-void MaskedSoftmaxForward(const float* x, float* out, int bsz, int t,
-                          const int* lengths);
-void MaskedLayerNormForward(const float* x, const float* gamma,
-                            const float* beta, float eps, float* out,
-                            float* xhat, float* inv_std, int bsz, int t,
-                            int d, const int* lengths);
+void MaskedLayerNormForward(const float* x, const float* residual,
+                            const float* gamma, const float* beta, float eps,
+                            float* out, float* xhat, float* inv_std, int bsz,
+                            int t, int d, const int* lengths);
 void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
                      float w_scale, float* out, int m, int k, int n);
 

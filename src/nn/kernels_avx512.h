@@ -3,6 +3,8 @@
 
 #include <cstddef>
 
+#include "nn/kernels.h"  // GemmEpilogue
+
 // Declarations for the AVX-512F kernel backend. Definitions live in
 // kernels_avx512.cc, which is compiled with -mavx512f -mavx2 -mfma only when
 // CMake's toolchain check passes (PREQR_HAVE_AVX512); callers must gate on
@@ -11,16 +13,10 @@
 // every other entry at the avx2 backend.
 namespace preqr::nn::kernels::avx512 {
 
-void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n);
+void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
+          size_t ldo, int m, int k, int n, const GemmEpilogue& epilogue);
 void GeluForward(const float* x, float* out, size_t n);
-void SoftmaxForward(const float* x, float* out, size_t rows, int d);
-void BatchedMatMulNTForward(const float* a, const float* bt, float* out,
-                            int bsz, int t, int k, const int* lengths);
-void BatchedMatMulNNForward(const float* w, const float* v, float* out,
-                            int bsz, int t, int dv, const int* lengths);
-void MaskedSoftmaxForward(const float* x, float* out, int bsz, int t,
-                          const int* lengths);
+void SoftmaxRows(float* x, size_t ld, int rows, int width);
 
 }  // namespace preqr::nn::kernels::avx512
 

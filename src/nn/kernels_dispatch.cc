@@ -18,17 +18,14 @@ namespace {
 
 const KernelTable kScalarTable = {
     "scalar",
-    &MatMulForward,
+    &Gemm,
     &AddBiasForward,
     &ReluForward,
     &GeluForward,
     &TanhForward,
     &SigmoidForward,
-    &SoftmaxForward,
+    &SoftmaxRows,
     &LayerNormForward,
-    &BatchedMatMulNTForward,
-    &BatchedMatMulNNForward,
-    &MaskedSoftmaxForward,
     &MaskedLayerNormForward,
     &Int8GemmForward,
 };
@@ -36,17 +33,14 @@ const KernelTable kScalarTable = {
 #if defined(PREQR_HAVE_AVX2)
 const KernelTable kAvx2Table = {
     "avx2",
-    &avx2::MatMulForward,
+    &avx2::Gemm,
     &avx2::AddBiasForward,
     &avx2::ReluForward,
     &avx2::GeluForward,
     &avx2::TanhForward,
     &avx2::SigmoidForward,
-    &avx2::SoftmaxForward,
+    &avx2::SoftmaxRows,
     &avx2::LayerNormForward,
-    &avx2::BatchedMatMulNTForward,
-    &avx2::BatchedMatMulNNForward,
-    &avx2::MaskedSoftmaxForward,
     &avx2::MaskedLayerNormForward,
     &avx2::Int8GemmForward,
 };
@@ -58,17 +52,14 @@ const KernelTable kAvx2Table = {
 // operation sequences; every other entry is the avx2 one.
 const KernelTable kAvx512Table = {
     "avx512",
-    &avx512::MatMulForward,
+    &avx512::Gemm,
     &avx2::AddBiasForward,
     &avx2::ReluForward,
     &avx512::GeluForward,
     &avx2::TanhForward,
     &avx2::SigmoidForward,
-    &avx512::SoftmaxForward,
+    &avx512::SoftmaxRows,
     &avx2::LayerNormForward,
-    &avx512::BatchedMatMulNTForward,
-    &avx512::BatchedMatMulNNForward,
-    &avx512::MaskedSoftmaxForward,
     &avx2::MaskedLayerNormForward,
     &avx2::Int8GemmForward,
 };

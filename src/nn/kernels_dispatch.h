@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/kernels.h"  // GemmEpilogue
+
 namespace preqr::nn::kernels {
 
 // Runtime dispatch over the hot *forward* compute kernels. Exactly the
@@ -25,44 +27,42 @@ namespace preqr::nn::kernels {
 //   * scalar — bitwise-identical to the historical kernels at any thread
 //     count and batch composition (unchanged code).
 //   * avx2 — bitwise-stable across runs, thread counts, and batch
-//     compositions *under avx2*: the batched kernels reuse the exact
-//     per-row routines of the single-query kernels (NT materializes the
-//     same kᵀ operand the solo Transpose+MatMul path feeds the GEMM), and
-//     elementwise tails run through the same vector routine as full lanes,
-//     so a row's bits depend only on its own values. Scalar and avx2
+//     compositions *under avx2*: Gemm, SoftmaxRows and the layer norms run
+//     one routine per row whatever the strides, and elementwise tails run
+//     through the same vector routine as full lanes, so a row's bits depend
+//     only on its own values. Scalar and avx2
 //     *differ* from each other in float low bits (FMA contraction and a
 //     polynomial exp); mixed-impl comparisons get tolerances, same-impl
 //     comparisons stay memcmp-exact.
 //   * avx512 — bitwise identical to avx2 for every input. Its GEMM,
 //     softmax and GELU run each element's avx2 operation sequence 16 lanes
-//     and 4 rows at a time; every other entry is the avx2 one. So the avx2
-//     contract and golden pins carry over unchanged.
+//     and 4 or 8 rows at a time; every other entry is the avx2 one. So the
+//     avx2 contract and golden pins carry over unchanged.
 //   * int8 GEMM — exact int32 accumulation; identical bits from every
 //     implementation.
+// Gemm's epilogue (kernels.h) is part of the contract: under every table,
+// Gemm with an epilogue returns exactly the bits of Gemm without one
+// followed by that table's separate Scale / AddBias / Gelu pass.
 struct KernelTable {
   const char* name;
-  void (*MatMulForward)(const float* a, const float* b, float* out, int m,
-                        int k, int n);
+  void (*Gemm)(const float* a, size_t lda, const float* b, size_t ldb,
+               float* out, size_t ldo, int m, int k, int n,
+               const GemmEpilogue& epilogue);
   void (*AddBiasForward)(const float* x, const float* bias, float* out,
                          size_t rows, int d);
   void (*ReluForward)(const float* x, float* out, size_t n);
   void (*GeluForward)(const float* x, float* out, size_t n);
   void (*TanhForward)(const float* x, float* out, size_t n);
   void (*SigmoidForward)(const float* x, float* out, size_t n);
-  void (*SoftmaxForward)(const float* x, float* out, size_t rows, int d);
+  void (*SoftmaxRows)(float* x, size_t ld, int rows, int width);
   void (*LayerNormForward)(const float* x, const float* gamma,
                            const float* beta, float eps, float* out,
                            float* xhat, float* inv_std, int n, int d);
-  void (*BatchedMatMulNTForward)(const float* a, const float* bt, float* out,
-                                 int bsz, int t, int k, const int* lengths);
-  void (*BatchedMatMulNNForward)(const float* w, const float* v, float* out,
-                                 int bsz, int t, int dv, const int* lengths);
-  void (*MaskedSoftmaxForward)(const float* x, float* out, int bsz, int t,
-                               const int* lengths);
-  void (*MaskedLayerNormForward)(const float* x, const float* gamma,
-                                 const float* beta, float eps, float* out,
-                                 float* xhat, float* inv_std, int bsz, int t,
-                                 int d, const int* lengths);
+  void (*MaskedLayerNormForward)(const float* x, const float* residual,
+                                 const float* gamma, const float* beta,
+                                 float eps, float* out, float* xhat,
+                                 float* inv_std, int bsz, int t, int d,
+                                 const int* lengths);
   void (*Int8GemmForward)(const int8_t* aq, const float* a_scale,
                           const int8_t* wt, float w_scale, float* out, int m,
                           int k, int n);

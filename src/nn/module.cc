@@ -57,10 +57,9 @@ Linear::Linear(int in_features, int out_features, Rng& rng, bool bias)
   }
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  Tensor y = MatMul(x, weight_);
-  if (has_bias_) y = AddBias(y, bias_);
-  return y;
+Tensor Linear::Forward(const Tensor& x, const std::vector<int>& lengths,
+                       Activation act) const {
+  return Affine(x, weight_, has_bias_ ? bias_ : Tensor(), act, lengths);
 }
 
 // --- Embedding ---------------------------------------------------------
@@ -87,6 +86,11 @@ Tensor LayerNorm::ForwardMasked(const Tensor& x,
   return MaskedLayerNorm(x, gamma_, beta_, lengths);
 }
 
+Tensor LayerNorm::ForwardMasked(const Tensor& x, const Tensor& y,
+                                const std::vector<int>& lengths) const {
+  return MaskedAddLayerNorm(x, y, gamma_, beta_, lengths);
+}
+
 // --- MultiHeadAttention ---------------------------------------------------
 
 MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, Rng& rng)
@@ -104,60 +108,31 @@ MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, Rng& rng)
   RegisterChild("wo", &wo_);
 }
 
-Tensor MultiHeadAttention::Forward(const Tensor& q, const Tensor& kv) const {
-  return Attend(q, ProjectKv(kv));
+Tensor MultiHeadAttention::Forward(const Tensor& q, const Tensor& kv,
+                                   const std::vector<int>& lengths) const {
+  return Attend(q, ProjectKv(kv), lengths);
 }
 
 AttentionKv MultiHeadAttention::ProjectKv(const Tensor& kv) const {
-  const Tensor kp = wk_.Forward(kv);  // [Skv, d]
-  const Tensor vp = wv_.Forward(kv);  // [Skv, d]
-  AttentionKv heads;
-  heads.kt.reserve(static_cast<size_t>(heads_));
-  heads.v.reserve(static_cast<size_t>(heads_));
-  for (int h = 0; h < heads_; ++h) {
-    heads.kt.push_back(Transpose(SliceLastDim(kp, h * head_dim_, head_dim_)));
-    heads.v.push_back(SliceLastDim(vp, h * head_dim_, head_dim_));
-  }
-  return heads;
+  return {Transpose(wk_.Forward(kv)), wv_.Forward(kv)};
 }
 
-Tensor MultiHeadAttention::Attend(const Tensor& q,
-                                  const AttentionKv& heads) const {
-  PREQR_CHECK_EQ(static_cast<int>(heads.kt.size()), heads_);
-  const Tensor qp = wq_.Forward(q);  // [Sq, d]
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(heads_));
-  for (int h = 0; h < heads_; ++h) {
-    const Tensor qh = SliceLastDim(qp, h * head_dim_, head_dim_);
-    const auto hi = static_cast<size_t>(h);
-    Tensor scores = Scale(MatMul(qh, heads.kt[hi]), scale);  // [Sq, Skv]
-    Tensor weights = SoftmaxLastDim(scores);
-    head_outputs.push_back(MatMul(weights, heads.v[hi]));  // [Sq, head_dim]
-  }
-  return wo_.Forward(ConcatLastDim(head_outputs));
+Tensor MultiHeadAttention::Attend(const Tensor& q, const AttentionKv& heads,
+                                  const std::vector<int>& lengths) const {
+  const Tensor qp = wq_.Forward(q, lengths);
+  return wo_.Forward(Attention(qp, heads.kt, heads.v, heads_, lengths),
+                     lengths);
 }
 
 Tensor MultiHeadAttention::ForwardBatch(const Tensor& x,
                                         const std::vector<int>& lengths) const {
-  // Projections are row-wise, so running them on the padded [B, T, d] block
-  // reproduces each example's rows bitwise; the batch-sensitive pieces
-  // (scores, softmax, weighted sum) go through the masked kernels.
-  const Tensor qp = wq_.Forward(x);  // [B, T, d]
-  const Tensor kp = wk_.Forward(x);
-  const Tensor vp = wv_.Forward(x);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(heads_));
-  for (int h = 0; h < heads_; ++h) {
-    const Tensor qh = SliceLastDim(qp, h * head_dim_, head_dim_);
-    const Tensor kh = SliceLastDim(kp, h * head_dim_, head_dim_);
-    const Tensor vh = SliceLastDim(vp, h * head_dim_, head_dim_);
-    Tensor scores = Scale(BatchedMatMulNT(qh, kh, lengths), scale);
-    Tensor weights = MaskedSoftmaxLastDim(scores, lengths);
-    head_outputs.push_back(BatchedMatMulNN(weights, vh, lengths));
-  }
-  return wo_.Forward(ConcatLastDim(head_outputs));
+  // Projections are row-wise, so running them on the valid rows of the
+  // padded [B, T, d] block reproduces each example's rows bitwise; the
+  // attention op masks keys to each example's own positions.
+  const Tensor qp = wq_.Forward(x, lengths);  // [B, T, d]
+  const Tensor kp = wk_.Forward(x, lengths);
+  const Tensor vp = wv_.Forward(x, lengths);
+  return wo_.Forward(Attention(qp, kp, vp, heads_, lengths), lengths);
 }
 
 // --- FeedForward ------------------------------------------------------------
@@ -168,8 +143,9 @@ FeedForward::FeedForward(int dim, int hidden, Rng& rng)
   RegisterChild("fc2", &fc2_);
 }
 
-Tensor FeedForward::Forward(const Tensor& x) const {
-  return fc2_.Forward(Gelu(fc1_.Forward(x)));
+Tensor FeedForward::Forward(const Tensor& x,
+                            const std::vector<int>& lengths) const {
+  return fc2_.Forward(fc1_.Forward(x, lengths, Activation::kGelu), lengths);
 }
 
 // --- TransformerEncoderLayer -------------------------------------------------
@@ -188,12 +164,10 @@ TransformerEncoderLayer::TransformerEncoderLayer(int dim, int num_heads,
 
 Tensor TransformerEncoderLayer::ForwardBatch(
     const Tensor& x, const std::vector<int>& lengths) const {
-  // Add and the FFN are row-wise (pad rows may carry junk between the
-  // masked norms, but no valid row ever reads one); the masked layer norms
-  // re-zero padding so every sub-layer hands on exactly-zero pad rows.
-  Tensor h =
-      ln1_.ForwardMasked(Add(x, attn_.ForwardBatch(x, lengths)), lengths);
-  return ln2_.ForwardMasked(Add(h, ffn_.Forward(h)), lengths);
+  // Every sub-layer computes valid rows only, and the residual layer norms
+  // hand on exactly-zero pad rows.
+  Tensor h = ln1_.ForwardMasked(x, attn_.ForwardBatch(x, lengths), lengths);
+  return ln2_.ForwardMasked(h, ffn_.Forward(h, lengths), lengths);
 }
 
 // --- BiLstm -------------------------------------------------------------------

@@ -39,11 +39,14 @@ class Module {
   bool train_ = true;
 };
 
-// y = x W + b. x: [N, in], W: [in, out], b: [out].
+// y = act(x W + b). x: [..., in], W: [in, out], b: [out]; one Affine op.
+// With `lengths`, x is a padded [B, T, in] batch and pad rows are never
+// computed (they come out zero).
 class Linear : public Module {
  public:
   Linear(int in_features, int out_features, Rng& rng, bool bias = true);
-  Tensor Forward(const Tensor& x) const;
+  Tensor Forward(const Tensor& x, const std::vector<int>& lengths = {},
+                 Activation act = Activation::kNone) const;
   int in_features() const { return in_; }
   int out_features() const { return out_; }
 
@@ -74,36 +77,44 @@ class LayerNorm : public Module {
   // does and pad rows come out zero (re-zeroing any junk the row-wise ops
   // left).
   Tensor ForwardMasked(const Tensor& x, const std::vector<int>& lengths) const;
+  // The post-norm residual LN(x + y) over a padded batch, in one pass.
+  Tensor ForwardMasked(const Tensor& x, const Tensor& y,
+                       const std::vector<int>& lengths) const;
 
  private:
   Tensor gamma_, beta_;
 };
 
-// Per-head keys and values projected from one attention's kv input. They
+// Keys and values projected from one attention's kv input, heads packed:
+// head h owns rows [h*hd, (h+1)*hd) of kt and the same columns of v. They
 // depend only on that input and wk/wv, so a frozen input (the schema nodes)
 // can be projected once and attended to by every later query.
 struct AttentionKv {
-  std::vector<Tensor> kt;  // per head: kᵀ [head_dim, Skv]
-  std::vector<Tensor> v;   // per head: v [Skv, head_dim]
+  Tensor kt;  // kᵀ [d, Skv]
+  Tensor v;   // v [Skv, d]
 };
 
 // Multi-head scaled dot-product attention (post-norm residual handled by the
-// caller). Queries may differ from keys/values (cross attention). Forward
-// also accepts batched [B, T, d] queries against shared 2-D keys/values
-// (schema cross attention) — every key is valid, so no mask is needed.
+// caller), one nn::Attention op between the projections. Queries may differ
+// from keys/values (cross attention). Forward also accepts batched
+// [B, T, d] queries against shared 2-D keys/values (schema cross
+// attention) — every key is valid, so no key mask is needed; `lengths`
+// only skips the queries' pad rows, which come out zero.
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int dim, int num_heads, Rng& rng);
   // q: [Sq, d] (or [B, T, d]); kv: [Skv, d] -> q's shape. The op-level
   // reference: Attend(q, ProjectKv(kv)).
-  Tensor Forward(const Tensor& q, const Tensor& kv) const;
-  // The kv half of Forward: kv [Skv, d] through wk/wv, sliced per head.
+  Tensor Forward(const Tensor& q, const Tensor& kv,
+                 const std::vector<int>& lengths = {}) const;
+  // The kv half of Forward: kv [Skv, d] through wk/wv, kᵀ transposed once.
   // Under the tape the result carries wk/wv's gradient history.
   AttentionKv ProjectKv(const Tensor& kv) const;
   // The query half of Forward against already projected keys/values:
   // bitwise Forward(q, kv) whenever `heads` came from ProjectKv(kv) under
   // the same kernel table and int8 mode.
-  Tensor Attend(const Tensor& q, const AttentionKv& heads) const;
+  Tensor Attend(const Tensor& q, const AttentionKv& heads,
+                const std::vector<int>& lengths = {}) const;
   // Masked self-attention over a padded batch [B, T, d]: example b attends
   // over its first lengths[b] positions only; each valid row is bitwise the
   // op-level Forward(x_b, x_b) result on that example's rows.
@@ -115,11 +126,11 @@ class MultiHeadAttention : public Module {
   Linear wq_, wk_, wv_, wo_;
 };
 
-// Two-layer position-wise feed-forward with GELU.
+// Two-layer position-wise feed-forward with GELU (fused into fc1's GEMM).
 class FeedForward : public Module {
  public:
   FeedForward(int dim, int hidden, Rng& rng);
-  Tensor Forward(const Tensor& x) const;
+  Tensor Forward(const Tensor& x, const std::vector<int>& lengths = {}) const;
 
  private:
   Linear fc1_, fc2_;

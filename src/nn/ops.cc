@@ -1,9 +1,11 @@
 #include "nn/ops.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
 #include "nn/quant.h"
@@ -16,8 +18,11 @@
 // storage comes from the thread-local BufferPool (see tensor.cc).
 //
 // The hot forward kernels go through kernels::Active() (runtime-dispatched
-// scalar/AVX2, see kernels_dispatch.h). Every backward kernel is called
-// directly — the grad path stays scalar and bitwise-unchanged.
+// scalar/AVX2/AVX-512, see kernels_dispatch.h). Every backward kernel is
+// called directly — the grad path stays scalar and bitwise-unchanged. The
+// fused ops (Affine, Attention, MaskedAddLayerNorm) run one forward with
+// the tape on or off; with it on they keep what backward needs and replay
+// the composed ops' backward kernels in the composed tape's order.
 
 namespace preqr::nn {
 
@@ -60,6 +65,27 @@ void Wire(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> parents,
   out.impl()->requires_grad = true;
   out.impl()->parents = std::move(parents);
   out.impl()->grad_fn = std::move(grad_fn);
+}
+
+// The int8 shadow of weight `w` [k, n] when the quantized path applies:
+// inference-only (tape off), thread-opted-in via Int8Guard, and only for a
+// calibrated shadow whose shape still matches (a reloaded model swaps
+// shadows atomically with the float data under the service's encode lock).
+const quant::QuantizedWeight* Int8Shadow(const Tensor& w, int k, int n) {
+  if (GradMode::enabled() || !quant::Int8Enabled()) return nullptr;
+  const auto& qw = w.impl()->quant;
+  return qw != nullptr && qw->k == k && qw->n == n ? qw.get() : nullptr;
+}
+
+// Shared shape bookkeeping for the [B, T, ...] ops: validates the batch
+// layout and that lengths fit inside the padded extent.
+void CheckBatchLengths(const Tensor& x, const std::vector<int>& lengths) {
+  PREQR_CHECK_EQ(x.ndim(), 3);
+  PREQR_CHECK_EQ(static_cast<int>(lengths.size()), x.dim(0));
+  for (int len : lengths) {
+    PREQR_CHECK_GE(len, 0);
+    PREQR_CHECK_LE(len, x.dim(1));
+  }
 }
 
 }  // namespace
@@ -216,39 +242,100 @@ Tensor Sigmoid(const Tensor& x) {
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  PREQR_CHECK_GE(a.ndim(), 2);
-  PREQR_CHECK_EQ(b.ndim(), 2);
-  // Leading dims of `a` flatten to independent rows, so [m,k] and batched
-  // [B,T,k] inputs run the identical per-row kernel loop.
-  const int k = a.dim(a.ndim() - 1), n = b.dim(1);
-  PREQR_CHECK_EQ(b.dim(0), k);
-  const int m = static_cast<int>(a.vec().size() / static_cast<size_t>(k));
-  Shape shape = a.shape();
-  shape[static_cast<size_t>(a.ndim() - 1)] = n;
-  Tensor out = Tensor::Zeros(std::move(shape));
-  // Int8 fast path: inference-only (tape off), thread-opted-in via
-  // Int8Guard, and only for weights carrying a calibrated shadow whose
-  // shape still matches (a reloaded model swaps shadows atomically with
-  // the float data under the service's encode lock).
-  if (!GradMode::enabled() && quant::Int8Enabled()) {
-    const auto& qw = b.impl()->quant;
-    if (qw != nullptr && qw->k == k && qw->n == n) {
-      quant::Int8MatMulForward(a.data(), *qw, out.data(), m);
-      return out;
-    }
+  return Affine(a, b, Tensor());
+}
+
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias,
+              Activation act, const std::vector<int>& lengths) {
+  PREQR_CHECK_GE(x.ndim(), 2);
+  PREQR_CHECK_EQ(w.ndim(), 2);
+  const int k = x.dim(x.ndim() - 1), n = w.dim(1);
+  PREQR_CHECK_EQ(w.dim(0), k);
+  const bool has_bias = bias.defined();
+  if (has_bias) {
+    PREQR_CHECK_EQ(bias.ndim(), 1);
+    PREQR_CHECK_EQ(bias.dim(0), n);
   }
-  kernels::Active().MatMulForward(a.data(), b.data(), out.data(), m, k, n);
-  if (!NeedsTape(a, b)) return out;
-  auto ai = a.impl(), bi = b.impl();
-  Wire(out, {ai, bi}, [ai, bi, m, k, n](TensorImpl* self) {
-    const float* g = self->grad.data();
-    if (Wants(ai)) {
-      ai->EnsureGrad();
-      kernels::MatMulBackwardA(g, bi->data.data(), ai->grad.data(), m, k, n);
+  const bool gelu = act == Activation::kGelu;
+  PREQR_CHECK(has_bias || !gelu);
+  if (!lengths.empty()) CheckBatchLengths(x, lengths);
+  const int m = static_cast<int>(x.vec().size() / static_cast<size_t>(k));
+  Shape shape = x.shape();
+  shape[static_cast<size_t>(x.ndim() - 1)] = n;
+  Tensor out = Tensor::Zeros(std::move(shape));
+  // Calls fn(first_row, rows) for every block of rows to compute: all m
+  // rows, or each example's valid rows.
+  auto for_valid_rows = [&](auto&& fn) {
+    if (lengths.empty()) {
+      fn(0, m);
+      return;
     }
-    if (Wants(bi)) {
+    const int t = x.dim(1);
+    for (size_t b = 0; b < lengths.size(); ++b) {
+      if (lengths[b] > 0) fn(static_cast<int>(b) * t, lengths[b]);
+    }
+  };
+  const kernels::KernelTable& tab = kernels::Active();
+  if (const quant::QuantizedWeight* qw = Int8Shadow(w, k, n)) {
+    for_valid_rows([&](int r0, int rows) {
+      float* o = out.data() + static_cast<size_t>(r0) * n;
+      quant::Int8MatMulForward(x.data() + static_cast<size_t>(r0) * k, *qw, o,
+                               rows);
+      if (has_bias) tab.AddBiasForward(o, bias.data(), o, rows, n);
+      if (gelu) tab.GeluForward(o, o, static_cast<size_t>(rows) * n);
+    });
+    return out;  // the int8 path only runs with the tape off
+  }
+  const bool tape = has_bias ? NeedsTape(x, w, bias) : NeedsTape(x, w);
+  // Under the tape a GELU layer keeps its pre-activation for GeluBackward:
+  // the Gemm stops at the bias and the GELU runs as a second pass.
+  std::shared_ptr<std::vector<float>> pre;
+  if (tape && gelu) {
+    pre = std::make_shared<std::vector<float>>(static_cast<size_t>(m) * n);
+  }
+  kernels::GemmEpilogue ep;
+  if (has_bias) {
+    ep = gelu && !tape ? kernels::GemmEpilogue::BiasGelu(bias.data())
+                       : kernels::GemmEpilogue::Bias(bias.data());
+  }
+  float* dst = pre != nullptr ? pre->data() : out.data();
+  for_valid_rows([&](int r0, int rows) {
+    const size_t off = static_cast<size_t>(r0) * n;
+    tab.Gemm(x.data() + static_cast<size_t>(r0) * k, static_cast<size_t>(k),
+             w.data(), static_cast<size_t>(n), dst + off,
+             static_cast<size_t>(n), rows, k, n, ep);
+    if (pre != nullptr) {
+      tab.GeluForward(dst + off, out.data() + off,
+                      static_cast<size_t>(rows) * n);
+    }
+  });
+  if (!tape) return out;
+  auto xi = x.impl(), wi = w.impl();
+  std::shared_ptr<TensorImpl> bi = has_bias ? bias.impl() : nullptr;
+  std::vector<std::shared_ptr<TensorImpl>> parents = {xi, wi};
+  if (bi != nullptr) parents.push_back(bi);
+  // The composed tape ran Gelu, AddBias, then MatMul's backward.
+  Wire(out, std::move(parents), [xi, wi, bi, pre, m, k, n](TensorImpl* self) {
+    const size_t size = static_cast<size_t>(m) * n;
+    const float* g = self->grad.data();
+    std::vector<float> dpre;
+    if (pre != nullptr) {
+      dpre.assign(size, 0.0f);
+      kernels::GeluBackward(pre->data(), g, dpre.data(), size);
+      g = dpre.data();
+    }
+    if (bi != nullptr && Wants(bi)) {
       bi->EnsureGrad();
-      kernels::MatMulBackwardB(ai->data.data(), g, bi->grad.data(), m, k, n);
+      kernels::AddBiasBackwardBias(g, bi->grad.data(), static_cast<size_t>(m),
+                                   n);
+    }
+    if (Wants(xi)) {
+      xi->EnsureGrad();
+      kernels::MatMulBackwardA(g, wi->data.data(), xi->grad.data(), m, k, n);
+    }
+    if (Wants(wi)) {
+      wi->EnsureGrad();
+      kernels::MatMulBackwardB(xi->data.data(), g, wi->grad.data(), m, k, n);
     }
   });
   return out;
@@ -273,7 +360,9 @@ Tensor SoftmaxLastDim(const Tensor& x) {
   const int d = x.dim(x.ndim() - 1);
   const size_t rows = x.vec().size() / static_cast<size_t>(d);
   Tensor out = Tensor::Zeros(x.shape());
-  kernels::Active().SoftmaxForward(x.data(), out.data(), rows, d);
+  kernels::Copy(x.data(), out.data(), x.vec().size());
+  kernels::Active().SoftmaxRows(out.data(), static_cast<size_t>(d),
+                                static_cast<int>(rows), d);
   if (!NeedsTape(x)) return out;
   auto xi = x.impl();
   Wire(out, {xi}, [xi, d](TensorImpl* self) {
@@ -649,29 +738,26 @@ Tensor Dropout(const Tensor& x, float p, Rng& rng, bool train) {
 
 // --- Batched / masked ops -------------------------------------------------
 
-namespace {
-
-// Shared shape bookkeeping for the [B, T, ...] ops: validates the batch
-// layout and that lengths fit inside the padded extent.
-void CheckBatchLengths(const Tensor& x, const std::vector<int>& lengths) {
-  PREQR_CHECK_EQ(x.ndim(), 3);
-  PREQR_CHECK_EQ(static_cast<int>(lengths.size()), x.dim(0));
-  for (int len : lengths) {
-    PREQR_CHECK_GE(len, 0);
-    PREQR_CHECK_LE(len, x.dim(1));
-  }
-}
-
-}  // namespace
-
 Tensor BatchedMatMulNT(const Tensor& a, const Tensor& b,
                        const std::vector<int>& lengths) {
   CheckBatchLengths(a, lengths);
   PREQR_CHECK(a.shape() == b.shape());
   const int bsz = a.dim(0), t = a.dim(1), k = a.dim(2);
   Tensor out = Tensor::Zeros({bsz, t, t});
-  kernels::Active().BatchedMatMulNTForward(a.data(), b.data(), out.data(), bsz,
-                                           t, k, lengths.data());
+  // Per example: out_b = a_b x bᵀ_b over the valid rows, one Gemm against
+  // a transposed copy of b_b's valid rows.
+  std::vector<float> bt;
+  for (int e = 0; e < bsz; ++e) {
+    const int len = lengths[static_cast<size_t>(e)];
+    if (len == 0) continue;
+    const size_t off = static_cast<size_t>(e) * t * k;
+    bt.resize(static_cast<size_t>(k) * len);
+    kernels::TransposeForward(b.data() + off, bt.data(), len, k);
+    kernels::Active().Gemm(a.data() + off, static_cast<size_t>(k), bt.data(),
+                           static_cast<size_t>(len),
+                           out.data() + static_cast<size_t>(e) * t * t,
+                           static_cast<size_t>(t), len, k, len, {});
+  }
   if (!NeedsTape(a, b)) return out;
   auto ai = a.impl(), bi = b.impl();
   Wire(out, {ai, bi}, [ai, bi, bsz, t, k, lengths](TensorImpl* self) {
@@ -699,8 +785,15 @@ Tensor BatchedMatMulNN(const Tensor& w, const Tensor& v,
   PREQR_CHECK_EQ(w.dim(2), v.dim(1));
   const int bsz = v.dim(0), t = v.dim(1), dv = v.dim(2);
   Tensor out = Tensor::Zeros({bsz, t, dv});
-  kernels::Active().BatchedMatMulNNForward(w.data(), v.data(), out.data(), bsz,
-                                           t, dv, lengths.data());
+  for (int e = 0; e < bsz; ++e) {
+    const int len = lengths[static_cast<size_t>(e)];
+    if (len == 0) continue;
+    const size_t off = static_cast<size_t>(e) * t;
+    kernels::Active().Gemm(w.data() + off * t, static_cast<size_t>(t),
+                           v.data() + off * dv, static_cast<size_t>(dv),
+                           out.data() + off * dv, static_cast<size_t>(dv),
+                           len, len, dv, {});
+  }
   if (!NeedsTape(w, v)) return out;
   auto wi = w.impl(), vi = v.impl();
   Wire(out, {wi, vi}, [wi, vi, bsz, t, dv, lengths](TensorImpl* self) {
@@ -724,8 +817,15 @@ Tensor MaskedSoftmaxLastDim(const Tensor& x, const std::vector<int>& lengths) {
   PREQR_CHECK_EQ(x.dim(1), x.dim(2));
   const int bsz = x.dim(0), t = x.dim(1);
   Tensor out = Tensor::Zeros(x.shape());
-  kernels::Active().MaskedSoftmaxForward(x.data(), out.data(), bsz, t,
-                                         lengths.data());
+  for (int e = 0; e < bsz; ++e) {
+    const int len = lengths[static_cast<size_t>(e)];
+    if (len == 0) continue;
+    float* ob = out.data() + static_cast<size_t>(e) * t * t;
+    kernels::CopyRows(x.data() + static_cast<size_t>(e) * t * t,
+                      static_cast<size_t>(t), ob, static_cast<size_t>(t),
+                      static_cast<size_t>(len), static_cast<size_t>(len));
+    kernels::Active().SoftmaxRows(ob, static_cast<size_t>(t), len, len);
+  }
   if (!NeedsTape(x)) return out;
   auto xi = x.impl();
   Wire(out, {xi}, [xi, bsz, t, lengths](TensorImpl* self) {
@@ -737,15 +837,20 @@ Tensor MaskedSoftmaxLastDim(const Tensor& x, const std::vector<int>& lengths) {
   return out;
 }
 
-Tensor MaskedLayerNorm(const Tensor& x, const Tensor& gamma,
-                       const Tensor& beta, const std::vector<int>& lengths,
-                       float eps) {
+namespace {
+
+// MaskedLayerNorm of x, or of x + *residual when one is given.
+Tensor MaskedLayerNormImpl(const Tensor& x, const Tensor* residual,
+                           const Tensor& gamma, const Tensor& beta,
+                           const std::vector<int>& lengths, float eps) {
   CheckBatchLengths(x, lengths);
+  if (residual != nullptr) PREQR_CHECK(residual->shape() == x.shape());
   const int bsz = x.dim(0), t = x.dim(1), d = x.dim(2);
   PREQR_CHECK_EQ(gamma.dim(0), d);
   PREQR_CHECK_EQ(beta.dim(0), d);
   Tensor out = Tensor::Zeros(x.shape());
-  const bool tape = NeedsTape(x, gamma, beta);
+  const bool tape = residual != nullptr ? NeedsTape(x, *residual, gamma, beta)
+                                        : NeedsTape(x, gamma, beta);
   std::shared_ptr<std::vector<float>> xhat_s, istd_s;
   if (tape) {
     xhat_s = std::make_shared<std::vector<float>>(x.vec().size());
@@ -753,23 +858,271 @@ Tensor MaskedLayerNorm(const Tensor& x, const Tensor& gamma,
         static_cast<size_t>(bsz) * static_cast<size_t>(t));
   }
   kernels::Active().MaskedLayerNormForward(
-      x.data(), gamma.data(), beta.data(), eps, out.data(),
+      x.data(), residual != nullptr ? residual->data() : nullptr,
+      gamma.data(), beta.data(), eps, out.data(),
       tape ? xhat_s->data() : nullptr, tape ? istd_s->data() : nullptr, bsz,
       t, d, lengths.data());
   if (!tape) return out;
   auto xi = x.impl(), gi = gamma.impl(), bi = beta.impl();
-  Wire(out, {xi, gi, bi},
-       [xi, gi, bi, xhat_s, istd_s, bsz, t, d, lengths](TensorImpl* self) {
+  std::shared_ptr<TensorImpl> ri =
+      residual != nullptr ? residual->impl() : nullptr;
+  std::vector<std::shared_ptr<TensorImpl>> parents = {xi};
+  if (ri != nullptr) parents.push_back(ri);
+  parents.push_back(gi);
+  parents.push_back(bi);
+  Wire(out, std::move(parents),
+       [xi, ri, gi, bi, xhat_s, istd_s, bsz, t, d, lengths](TensorImpl* self) {
          gi->EnsureGrad();
          bi->EnsureGrad();
          kernels::MaskedLayerNormBackwardParams(
              self->grad.data(), xhat_s->data(), gi->grad.data(),
              bi->grad.data(), bsz, t, d, lengths.data());
-         if (!Wants(xi)) return;
-         xi->EnsureGrad();
+         if (ri == nullptr) {
+           if (!Wants(xi)) return;
+           xi->EnsureGrad();
+           kernels::MaskedLayerNormBackwardInput(
+               self->grad.data(), xhat_s->data(), istd_s->data(),
+               gi->data.data(), xi->grad.data(), bsz, t, d, lengths.data());
+           return;
+         }
+         // The composed tape's Add node: the sum's gradient, then the
+         // Add backward into x and the residual, in that order.
+         if (!Wants(xi) && !Wants(ri)) return;
+         std::vector<float> dsum(self->grad.size(), 0.0f);
          kernels::MaskedLayerNormBackwardInput(
              self->grad.data(), xhat_s->data(), istd_s->data(),
-             gi->data.data(), xi->grad.data(), bsz, t, d, lengths.data());
+             gi->data.data(), dsum.data(), bsz, t, d, lengths.data());
+         AccumulateGrad(xi, dsum.data(), dsum.size());
+         AccumulateGrad(ri, dsum.data(), dsum.size());
+       });
+  return out;
+}
+
+}  // namespace
+
+Tensor MaskedLayerNorm(const Tensor& x, const Tensor& gamma,
+                       const Tensor& beta, const std::vector<int>& lengths,
+                       float eps) {
+  return MaskedLayerNormImpl(x, nullptr, gamma, beta, lengths, eps);
+}
+
+Tensor MaskedAddLayerNorm(const Tensor& x, const Tensor& y,
+                          const Tensor& gamma, const Tensor& beta,
+                          const std::vector<int>& lengths, float eps) {
+  return MaskedLayerNormImpl(x, &y, gamma, beta, lengths, eps);
+}
+
+namespace {
+
+// Query rows per Gemm/SoftmaxRows call in Attention: a multiple of the
+// avx512 GEMM's 4-row block, small enough that a block's scores stay in L1.
+constexpr int kAttentionRowBlock = 16;
+
+}  // namespace
+
+Tensor Attention(const Tensor& q, const Tensor& keys, const Tensor& values,
+                 int num_heads, const std::vector<int>& lengths) {
+  PREQR_CHECK(q.ndim() == 2 || q.ndim() == 3);
+  const bool batched = q.ndim() == 3;
+  const int bsz = batched ? q.dim(0) : 1;
+  const int t = batched ? q.dim(1) : q.dim(0);
+  const int d = q.dim(q.ndim() - 1);
+  PREQR_CHECK_GT(num_heads, 0);
+  const int hd = d / num_heads;
+  PREQR_CHECK_EQ(hd * num_heads, d);
+  std::vector<int> lens = lengths;
+  if (lens.empty()) lens.assign(static_cast<size_t>(bsz), t);
+  PREQR_CHECK_EQ(static_cast<int>(lens.size()), bsz);
+  for (int len : lens) {
+    PREQR_CHECK_GE(len, 0);
+    PREQR_CHECK_LE(len, t);
+  }
+  // Shared keys (cross attention): kᵀ [d, N] and values [N, d]; otherwise
+  // per-example keys and values shaped like q.
+  const bool shared = keys.ndim() == 2;
+  const int nkv = shared ? keys.dim(1) : t;
+  if (shared) {
+    PREQR_CHECK_EQ(keys.dim(0), d);
+    PREQR_CHECK_GT(nkv, 0);
+    PREQR_CHECK_EQ(values.ndim(), 2);
+    PREQR_CHECK_EQ(values.dim(0), nkv);
+    PREQR_CHECK_EQ(values.dim(1), d);
+  } else {
+    PREQR_CHECK(batched);
+    PREQR_CHECK(keys.shape() == q.shape());
+    PREQR_CHECK(values.shape() == q.shape());
+  }
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  Tensor out = Tensor::Zeros(q.shape());
+  const bool tape = NeedsTape(q, keys, values);
+  // Per-head softmax weights [heads, B, T, nkv] for the backward; without
+  // the tape the scores live in per-thread scratch instead.
+  std::shared_ptr<std::vector<float>> probs;
+  if (tape) {
+    probs = std::make_shared<std::vector<float>>(
+        static_cast<size_t>(num_heads) * bsz * t * nkv);
+  }
+  const kernels::KernelTable& tab = kernels::Active();
+  const kernels::GemmEpilogue scale_ep = kernels::GemmEpilogue::Scale(scale);
+  const size_t ld = static_cast<size_t>(d);
+  auto units = [&](int64_t u0, int64_t u1) {
+    thread_local std::vector<float> kt_scratch, score_scratch;
+    for (int64_t u = u0; u < u1; ++u) {
+      const int b = static_cast<int>(u / num_heads);
+      const int h = static_cast<int>(u % num_heads);
+      const int len = lens[static_cast<size_t>(b)];
+      if (len == 0) continue;
+      const size_t row0 = static_cast<size_t>(b) * t;
+      const size_t col = static_cast<size_t>(h) * hd;
+      const int width = shared ? nkv : len;
+      // kᵀ for this (example, head): rows of the shared kᵀ, or one
+      // transposed copy of the example's valid keys.
+      const float* kth;
+      size_t ldk;
+      const float* vh;
+      if (shared) {
+        kth = keys.data() + col * nkv;
+        ldk = static_cast<size_t>(nkv);
+        vh = values.data() + col;
+      } else {
+        kt_scratch.resize(static_cast<size_t>(hd) * len);
+        const float* kb = keys.data() + row0 * ld + col;
+        for (int j = 0; j < len; ++j) {
+          for (int c = 0; c < hd; ++c) {
+            kt_scratch[static_cast<size_t>(c) * len + j] =
+                kb[static_cast<size_t>(j) * ld + c];
+          }
+        }
+        kth = kt_scratch.data();
+        ldk = static_cast<size_t>(len);
+        vh = values.data() + row0 * ld + col;
+      }
+      for (int i0 = 0; i0 < len; i0 += kAttentionRowBlock) {
+        const int rows = std::min(kAttentionRowBlock, len - i0);
+        float* scores;
+        size_t lds;
+        if (probs != nullptr) {
+          lds = static_cast<size_t>(nkv);
+          scores = probs->data() +
+                   ((static_cast<size_t>(h) * bsz + b) * t + i0) * lds;
+        } else {
+          lds = static_cast<size_t>(width);
+          score_scratch.assign(static_cast<size_t>(rows) * lds, 0.0f);
+          scores = score_scratch.data();
+        }
+        const size_t qoff = (row0 + i0) * ld + col;
+        tab.Gemm(q.data() + qoff, ld, kth, ldk, scores, lds, rows, hd, width,
+                 scale_ep);
+        tab.SoftmaxRows(scores, lds, rows, width);
+        tab.Gemm(scores, lds, vh, ld, out.data() + qoff, ld, rows, width, hd,
+                 {});
+      }
+    }
+  };
+  ParallelFor(0, static_cast<int64_t>(bsz) * num_heads, 1, units);
+  if (!tape) return out;
+  auto qi = q.impl(), ki = keys.impl(), vi = values.impl();
+  // Replays the composed ops' backward per head, last head first as the
+  // composed tape ran it: ConcatLastDim, then BatchedMatMulNN (shared:
+  // MatMul), MaskedSoftmaxLastDim (SoftmaxLastDim), Scale, and
+  // BatchedMatMulNT (MatMul against kᵀ), each slice's gradient landing in
+  // head h's columns (shared kᵀ: rows) of the parents.
+  Wire(out, {qi, ki, vi},
+       [qi, ki, vi, probs, lens, bsz, t, d, hd, nkv, num_heads, shared,
+        scale](TensorImpl* self) {
+         const size_t rows = static_cast<size_t>(bsz) * t;
+         const size_t ldd = static_cast<size_t>(d);
+         const size_t hdz = static_cast<size_t>(hd);
+         const bool want_q = Wants(qi), want_k = Wants(ki), want_v = Wants(vi);
+         const bool want_scores = want_q || want_k;
+         const size_t nscore = rows * nkv;
+         const size_t nkvh = static_cast<size_t>(nkv) * hdz;
+         const size_t nqh = rows * hdz;
+         for (int h = num_heads - 1; h >= 0; --h) {
+           const size_t col = static_cast<size_t>(h) * hd;
+           const float* w = probs->data() + static_cast<size_t>(h) * nscore;
+           std::vector<float> go(nqh, 0.0f);
+           kernels::AccumulateRows(self->grad.data() + col, ldd, go.data(),
+                                   hdz, rows, hdz);
+           // This head's values (shared: [N, hd]; self: [B, T, hd]).
+           std::vector<float> vh(shared ? nkvh : nqh);
+           kernels::CopyRows(vi->data.data() + col, ldd, vh.data(), hdz,
+                             shared ? static_cast<size_t>(nkv) : rows, hdz);
+           std::vector<float> dw;
+           if (want_scores) {
+             dw.assign(nscore, 0.0f);
+             if (shared) {
+               kernels::MatMulBackwardA(go.data(), vh.data(), dw.data(),
+                                        static_cast<int>(rows), nkv, hd);
+             } else {
+               kernels::BatchedMatMulNNBackwardW(go.data(), vh.data(),
+                                                 dw.data(), bsz, t, hd,
+                                                 lens.data());
+             }
+           }
+           if (want_v) {
+             std::vector<float> dvh(vh.size(), 0.0f);
+             if (shared) {
+               kernels::MatMulBackwardB(w, go.data(), dvh.data(),
+                                        static_cast<int>(rows), nkv, hd);
+             } else {
+               kernels::BatchedMatMulNNBackwardV(w, go.data(), dvh.data(),
+                                                 bsz, t, hd, lens.data());
+             }
+             vi->EnsureGrad();
+             kernels::AccumulateRows(dvh.data(), hdz, vi->grad.data() + col,
+                                     ldd, shared ? nkv : rows, hdz);
+           }
+           if (!want_scores) continue;
+           std::vector<float> ds(nscore, 0.0f);
+           if (shared) {
+             kernels::SoftmaxBackward(w, dw.data(), ds.data(), rows, nkv);
+           } else {
+             kernels::MaskedSoftmaxBackward(w, dw.data(), ds.data(), bsz, t,
+                                            lens.data());
+           }
+           std::vector<float> dscores(nscore, 0.0f);
+           kernels::AccumulateScaled(ds.data(), scale, dscores.data(), nscore);
+           std::vector<float> qh(nqh);
+           kernels::CopyRows(qi->data.data() + col, ldd, qh.data(), hdz, rows,
+                             hdz);
+           if (want_q) {
+             std::vector<float> dqh(nqh, 0.0f);
+             if (shared) {
+               kernels::MatMulBackwardA(dscores.data(),
+                                        ki->data.data() + col * nkv,
+                                        dqh.data(), static_cast<int>(rows),
+                                        hd, nkv);
+             } else {
+               std::vector<float> kh(nqh);
+               kernels::CopyRows(ki->data.data() + col, ldd, kh.data(), hdz,
+                                 rows, hdz);
+               kernels::BatchedMatMulNTBackwardA(dscores.data(), kh.data(),
+                                                 dqh.data(), bsz, t, hd,
+                                                 lens.data());
+             }
+             qi->EnsureGrad();
+             kernels::AccumulateRows(dqh.data(), hdz, qi->grad.data() + col,
+                                     ldd, rows, hdz);
+           }
+           if (want_k) {
+             ki->EnsureGrad();
+             if (shared) {
+               std::vector<float> dkt(nkvh, 0.0f);
+               kernels::MatMulBackwardB(qh.data(), dscores.data(), dkt.data(),
+                                        static_cast<int>(rows), hd, nkv);
+               kernels::Accumulate(dkt.data(), ki->grad.data() + col * nkv,
+                                   nkvh);
+             } else {
+               std::vector<float> dkh(nqh, 0.0f);
+               kernels::BatchedMatMulNTBackwardB(dscores.data(), qh.data(),
+                                                 dkh.data(), bsz, t, hd,
+                                                 lens.data());
+               kernels::AccumulateRows(dkh.data(), hdz,
+                                       ki->grad.data() + col, ldd, rows, hdz);
+             }
+           }
+         }
        });
   return out;
 }

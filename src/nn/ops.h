@@ -29,9 +29,25 @@ Tensor Sigmoid(const Tensor& x);
 // --- Linear algebra ---------------------------------------------------
 // a: [..., k] x b: [k, n] -> [..., n]. Leading dims of `a` flatten to rows,
 // so [m,k] and batched [B,T,k] inputs share one kernel (rows are
-// independent: per-row results are bitwise-identical either way).
+// independent: per-row results are bitwise-identical either way). The same
+// op as Affine(a, b, Tensor()).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor Transpose(const Tensor& a);                // [m,n] -> [n,m]
+
+enum class Activation { kNone, kGelu };
+
+// y = act(x w + bias): x [..., k], w [k, n], bias [n] (an undefined tensor
+// for none; kGelu needs a bias) -> [..., n]. One Gemm whose epilogue adds
+// the bias (and applies GELU) after each element's chain, so the bits are
+// exactly AddBias(MatMul(x, w), bias) (then Gelu). With `lengths`, x is a
+// padded [B, T, k] batch and only example b's first lengths[b] rows are
+// computed; pad rows come out exactly zero. Under the tape the
+// pre-activation is kept for GeluBackward. Under quant::Int8Guard (tape
+// off, calibrated w) the int8 GEMM runs first, then the bias and GELU
+// kernels.
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias,
+              Activation act = Activation::kNone,
+              const std::vector<int>& lengths = {});
 
 // --- Normalization / activation over rows ------------------------------
 Tensor SoftmaxLastDim(const Tensor& x);
@@ -100,6 +116,27 @@ Tensor MaskedSoftmaxLastDim(const Tensor& x, const std::vector<int>& lengths);
 Tensor MaskedLayerNorm(const Tensor& x, const Tensor& gamma,
                        const Tensor& beta, const std::vector<int>& lengths,
                        float eps = 1e-5f);
+// The post-norm residual: MaskedLayerNorm(Add(x, y), ...) in one pass, bit
+// for bit, without materializing the sum (valid rows only).
+Tensor MaskedAddLayerNorm(const Tensor& x, const Tensor& y,
+                          const Tensor& gamma, const Tensor& beta,
+                          const std::vector<int>& lengths, float eps = 1e-5f);
+
+// Multi-head scaled dot-product attention, heads packed along the last
+// dim (head h owns columns [h*hd, (h+1)*hd), hd = d / num_heads).
+// q: [B, T, d] projected queries ([S, d] is one example). Two key sources:
+//   * self attention — keys, values: [B, T, d], each example attending
+//     over its own first lengths[b] positions;
+//   * shared keys (schema cross attention) — keys: kᵀ [d, N] (head h's kᵀ
+//     is rows [h*hd, (h+1)*hd)), values: [N, d], every key valid.
+// Per (example, head, row block): scores = Gemm(q_h, kᵀ_h) with a
+// 1/sqrt(hd) scale epilogue, SoftmaxRows, then Gemm(scores, v_h) written
+// straight into head h's columns of the output. Valid rows are bitwise
+// ConcatLastDim over heads of MatMul/BatchedMatMulNN(Softmax(Scale(
+// MatMul/BatchedMatMulNT(q_h, k_h))), v_h); pad rows are never computed
+// and stay exactly zero. Empty `lengths` means every row is valid.
+Tensor Attention(const Tensor& q, const Tensor& keys, const Tensor& values,
+                 int num_heads, const std::vector<int>& lengths = {});
 // logits: [B, T, C]; targets: B*T ids (pads/ignore_index skipped). Scalar
 // loss = mean over examples of each example's mean row loss — the value the
 // per-example CrossEntropy + Add/Scale chain used to produce. example_loss

@@ -26,7 +26,8 @@ constexpr double kInt64Hi = 9223372036854775808.0;
 // Recursive-descent parser over a token stream.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  // `tokens` must end with a kEnd token and outlive the parser.
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   StatusOr<SelectStatement> ParseStatement() {
     auto stmt = ParseSelect();
@@ -315,18 +316,25 @@ class Parser {
     return pred;
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   int depth_ = 0;  // current ParseSelect recursion depth
 };
 
 }  // namespace
 
+StatusOr<SelectStatement> Parse(const std::vector<Token>& tokens) {
+  if (tokens.empty() || tokens.back().type != TokenType::kEnd) {
+    return Status::ParseError("token stream does not end with kEnd");
+  }
+  Parser parser(tokens);
+  return parser.ParseStatement();
+}
+
 StatusOr<SelectStatement> Parse(const std::string& sql) {
   auto tokens = Lex(sql);
   if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens.value()));
-  return parser.ParseStatement();
+  return Parse(tokens.value());
 }
 
 }  // namespace preqr::sql

@@ -151,9 +151,9 @@ StatusOr<SqlTokenizer::Tokenized> SqlTokenizer::Tokenize(
     const std::string& sql) const {
   auto lexed = sql::Lex(sql);
   if (!lexed.ok()) return lexed.status();
-  auto parsed = sql::Parse(sql);
-  if (!parsed.ok()) return parsed.status();
   const auto& tokens = lexed.value();
+  auto parsed = sql::Parse(tokens);
+  if (!parsed.ok()) return parsed.status();
   const auto symbols = automaton::StructuralSymbols(tokens);
 
   std::map<std::string, std::string> bindings;

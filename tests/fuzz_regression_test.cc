@@ -19,8 +19,10 @@
 #include "db/stats.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/printer.h"
 #include "text/tokenizer.h"
 #include "workload/imdb.h"
+#include "workload/sql_fuzz.h"
 
 #ifndef PREQR_FUZZ_CORPUS_DIR
 #error "build must define PREQR_FUZZ_CORPUS_DIR (see tests/CMakeLists.txt)"
@@ -123,6 +125,73 @@ TEST(FuzzCorpusTest, ErrEntriesFailWithStatusAndOkEntriesTokenize) {
       EXPECT_GT(tokenized.value().tokens.size(), 2u) << e.name;
     }
   }
+}
+
+// FNV-1a of every corpus and fuzz-stream tokenization, recorded while
+// Tokenize still lexed each query twice.
+constexpr uint64_t kPinnedTokenizeHash = 0x9811460e4e6ca381ull;
+
+uint64_t Fnv1a(const void* data, size_t len, uint64_t h) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Tokenize lexes once and parses the lexed tokens (Parse(sql) is Lex plus
+// the token overload). Over the corpus and a fuzz stream, both Parse entry
+// points agree (same statement text, or the same Status), and every
+// tokenization — ids, structural symbols, quantile bits, or the error —
+// hashes to the value pinned when Tokenize still lexed twice.
+TEST(FuzzCorpusTest, ParseOfLexedTokensMatchesParseOfTextAndIdsArePinned) {
+  std::vector<std::string> inputs;
+  for (const auto& e : LoadCorpus()) inputs.push_back(e.sql);
+  workload::SqlFuzzer fuzzer(E().imdb.catalog(), 17);
+  for (int i = 0; i < 300; ++i) inputs.push_back(fuzzer.Next().sql);
+  uint64_t h = 1469598103934665603ull;
+  int parsed_ok = 0;
+  for (const auto& sql : inputs) {
+    const auto from_text = sql::Parse(sql);
+    const auto lexed = sql::Lex(sql);
+    if (lexed.ok()) {
+      const auto from_tokens = sql::Parse(lexed.value());
+      ASSERT_EQ(from_text.ok(), from_tokens.ok()) << sql;
+      if (from_text.ok()) {
+        ++parsed_ok;
+        EXPECT_EQ(sql::ToSql(from_text.value()),
+                  sql::ToSql(from_tokens.value()))
+            << sql;
+      } else {
+        EXPECT_EQ(from_text.status().ToString(),
+                  from_tokens.status().ToString())
+            << sql;
+      }
+    } else {
+      EXPECT_FALSE(from_text.ok()) << sql;
+    }
+    const auto tok = E().tokenizer->Tokenize(sql);
+    if (!tok.ok()) {
+      const std::string msg = tok.status().ToString();
+      h = Fnv1a(msg.data(), msg.size(), h);
+      continue;
+    }
+    const auto& t = tok.value();
+    h = Fnv1a(t.ids.data(), t.ids.size() * sizeof(int), h);
+    for (const auto s : t.symbols) {
+      const int v = static_cast<int>(s);
+      h = Fnv1a(&v, sizeof(v), h);
+    }
+    h = Fnv1a(t.quantiles.data(), t.quantiles.size() * sizeof(float), h);
+  }
+  EXPECT_GT(parsed_ok, 100);
+  EXPECT_EQ(h, kPinnedTokenizeHash) << std::hex << h;
+  // A stream without its kEnd token is rejected, not read past.
+  auto tokens = sql::Lex("SELECT COUNT(*) FROM title").value();
+  tokens.pop_back();
+  EXPECT_FALSE(sql::Parse(tokens).ok());
+  EXPECT_FALSE(sql::Parse(std::vector<sql::Token>{}).ok());
 }
 
 }  // namespace

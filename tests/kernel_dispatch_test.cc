@@ -66,6 +66,21 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// The parent table's dense entries, composed from today's strided ones:
+// MatMul is one Gemm with no epilogue, Softmax a copy plus the in-place
+// SoftmaxRows. The batched attention kernels are covered through the
+// nn::BatchedMatMulNT/NN and MaskedSoftmaxLastDim ops under a forced table.
+void MatMulVia(const KernelTable& tab, const float* a, const float* b,
+               float* out, int m, int k, int n) {
+  tab.Gemm(a, size_t(k), b, size_t(n), out, size_t(n), m, k, n, {});
+}
+
+void SoftmaxVia(const KernelTable& tab, const float* x, float* out,
+                size_t rows, int d) {
+  std::memcpy(out, x, rows * size_t(d) * sizeof(float));
+  tab.SoftmaxRows(out, size_t(d), int(rows), d);
+}
+
 // Declared first so no earlier test has re-pointed the table: when the
 // launcher sets PREQR_KERNEL_IMPL (scripts/check.sh's SIMD stage does),
 // startup selection must honor it.
@@ -89,7 +104,7 @@ TEST(KernelDispatchTest, EnvSelectionHonored) {
 
 TEST(KernelDispatchTest, ScalarTableAlwaysPresent) {
   ASSERT_STREQ(ScalarTable().name, "scalar");
-  ASSERT_NE(ScalarTable().MatMulForward, nullptr);
+  ASSERT_NE(ScalarTable().Gemm, nullptr);
   ASSERT_NE(ScalarTable().Int8GemmForward, nullptr);
 }
 
@@ -149,12 +164,12 @@ TEST_F(ParityTest, MatMul) {
   const auto a = RandVec(size_t(m) * k, 1);
   const auto b = RandVec(size_t(k) * n, 2);
   std::vector<float> s(size_t(m) * n, 0.0f), v(size_t(m) * n, 0.0f);
-  ScalarTable().MatMulForward(a.data(), b.data(), s.data(), m, k, n);
-  Avx2Table()->MatMulForward(a.data(), b.data(), v.data(), m, k, n);
+  MatMulVia(ScalarTable(), a.data(), b.data(), s.data(), m, k, n);
+  MatMulVia(*Avx2Table(), a.data(), b.data(), v.data(), m, k, n);
   EXPECT_LT(MaxRelDiff(v, s), 1e-4f);
 }
 
-// The AVX2 GEMM's documented contract (MatMulRowFma in kernels_avx2.cc),
+// The AVX2 GEMM's documented contract (GemmRow in kernels_avx2.cc),
 // checked bitwise against an independent reference: every output element
 // is the fmaf chain over the nonzero a[i, kk] in ascending kk, whatever
 // the row width and however the kernel blocks its columns (64-, 32- and
@@ -194,7 +209,7 @@ TEST_F(Avx2GemmContractTest, MatchesFmaChainBitwiseAtEveryWidth) {
       for (size_t i = 1; i < a.size(); i += 7) a[i] = 0.0f;
       const auto b = RandVec(size_t(k) * n, 211 + uint64_t(n));
       std::vector<float> v(size_t(m) * n, 0.0f);
-      Avx2Table()->MatMulForward(a.data(), b.data(), v.data(), m, k, n);
+      MatMulVia(*Avx2Table(), a.data(), b.data(), v.data(), m, k, n);
       EXPECT_TRUE(BitwiseEqual(v, FmaChainReference(a, b, m, k, n)))
           << "k=" << k << " n=" << n;
     }
@@ -209,7 +224,7 @@ TEST_F(Avx2GemmContractTest, AllZeroRowIgnoresNanPoisonedB) {
     const std::vector<float> b(size_t(k) * n,
                                std::numeric_limits<float>::quiet_NaN());
     std::vector<float> v(size_t(m) * n, 0.0f);
-    Avx2Table()->MatMulForward(a.data(), b.data(), v.data(), m, k, n);
+    MatMulVia(*Avx2Table(), a.data(), b.data(), v.data(), m, k, n);
     for (int j = 0; j < n; ++j) {
       const float pad = v[size_t(1) * n + j];
       EXPECT_EQ(std::memcmp(&pad, "\0\0\0\0", sizeof(float)), 0)
@@ -275,8 +290,8 @@ TEST_F(ParityTest, Softmax) {
   const int d = 29;
   const auto x = RandVec(rows * d, 6, 8.0f);
   std::vector<float> s(rows * d), v(rows * d);
-  ScalarTable().SoftmaxForward(x.data(), s.data(), rows, d);
-  Avx2Table()->SoftmaxForward(x.data(), v.data(), rows, d);
+  SoftmaxVia(ScalarTable(), x.data(), s.data(), rows, d);
+  SoftmaxVia(*Avx2Table(), x.data(), v.data(), rows, d);
   EXPECT_LT(MaxRelDiff(v, s), 1e-4f);
   for (size_t r = 0; r < rows; ++r) {  // rows still normalize
     float sum = 0.0f;
@@ -313,9 +328,11 @@ TEST_F(ParityTest, BatchedNTMatchesSoloBitwise) {
   const auto a = RandVec(size_t(bsz) * t * k, 10);
   const auto bt = RandVec(size_t(bsz) * t * k, 11);
   for (const KernelTable* tab : {&ScalarTable(), Avx2Table()}) {
-    std::vector<float> batched(size_t(bsz) * t * t, 0.0f);
-    tab->BatchedMatMulNTForward(a.data(), bt.data(), batched.data(), bsz, t,
-                                k, lengths.data());
+    ASSERT_TRUE(kernels::SetActiveImpl(tab->name));
+    const std::vector<float> batched =
+        BatchedMatMulNT(Tensor::FromData({bsz, t, k}, a),
+                        Tensor::FromData({bsz, t, k}, bt), lengths)
+            .vec();
     for (int b = 0; b < bsz; ++b) {
       const int len = lengths[b];
       // Solo path: out = a_b[0:len] * transpose(bt_b[0:len]).
@@ -323,7 +340,7 @@ TEST_F(ParityTest, BatchedNTMatchesSoloBitwise) {
       kernels::TransposeForward(bt.data() + size_t(b) * t * k, ktr.data(),
                                 len, k);
       std::vector<float> solo(size_t(len) * len, 0.0f);
-      tab->MatMulForward(a.data() + size_t(b) * t * k, ktr.data(),
+      MatMulVia(*tab, a.data() + size_t(b) * t * k, ktr.data(),
                          solo.data(), len, k, len);
       for (int i = 0; i < len; ++i) {
         EXPECT_EQ(0, std::memcmp(
@@ -339,14 +356,15 @@ TEST_F(ParityTest, BatchedNTMatchesSoloBitwise) {
 // Under one impl, a row's bits must not depend on what else is in the
 // batch: encode the same example alone and inside a mixed batch.
 TEST_F(ParityTest, BatchCompositionInvariance) {
+  ImplRestorer restore;
   const int t = 9, k = 24;
   const auto probe = RandVec(size_t(t) * k, 12);
   for (const KernelTable* tab : {&ScalarTable(), Avx2Table()}) {
+    ASSERT_TRUE(kernels::SetActiveImpl(tab->name));
     // Alone.
     std::vector<int> len1 = {6};
-    std::vector<float> out1(size_t(t) * t, 0.0f);
-    tab->BatchedMatMulNTForward(probe.data(), probe.data(), out1.data(), 1,
-                                t, k, len1.data());
+    const Tensor alone = Tensor::FromData({1, t, k}, probe);
+    const std::vector<float> out1 = BatchedMatMulNT(alone, alone, len1).vec();
     // Same example as slot 1 of a 3-example batch with junk neighbors.
     const int bsz = 3;
     std::vector<float> a(size_t(bsz) * t * k);
@@ -358,9 +376,8 @@ TEST_F(ParityTest, BatchCompositionInvariance) {
     std::memcpy(a.data() + 2 * size_t(t) * k, junk2.data(),
                 junk2.size() * sizeof(float));
     std::vector<int> len3 = {9, 6, 3};
-    std::vector<float> out3(size_t(bsz) * t * t, 0.0f);
-    tab->BatchedMatMulNTForward(a.data(), a.data(), out3.data(), bsz, t, k,
-                                len3.data());
+    const Tensor mixed = Tensor::FromData({bsz, t, k}, a);
+    const std::vector<float> out3 = BatchedMatMulNT(mixed, mixed, len3).vec();
     for (int i = 0; i < 6; ++i)
       EXPECT_EQ(0, std::memcmp(out1.data() + size_t(i) * t,
                                out3.data() + (size_t(1) * t + i) * t,
@@ -372,6 +389,7 @@ TEST_F(ParityTest, BatchCompositionInvariance) {
 // Pad rows stay exactly zero even when the pad region carries garbage
 // (NaN/inf), because the batched kernels never read or write past lengths.
 TEST_F(ParityTest, PadRowsStayZeroWithPoisonedPadding) {
+  ImplRestorer restore;
   const int bsz = 2, t = 8, k = 16, dv = 12;
   std::vector<int> lengths = {5, 3};
   auto a = RandVec(size_t(bsz) * t * k, 15);
@@ -386,14 +404,12 @@ TEST_F(ParityTest, PadRowsStayZeroWithPoisonedPadding) {
       for (int c = 0; c < dv; ++c) v[(size_t(b) * t + i) * dv + c] = NAN;
     }
   for (const KernelTable* tab : {&ScalarTable(), Avx2Table()}) {
-    std::vector<float> nt(size_t(bsz) * t * t, 0.0f);
-    tab->BatchedMatMulNTForward(a.data(), a.data(), nt.data(), bsz, t, k,
-                                lengths.data());
-    std::vector<float> sm(size_t(bsz) * t * t, 0.0f);
-    tab->MaskedSoftmaxForward(nt.data(), sm.data(), bsz, t, lengths.data());
-    std::vector<float> nn(size_t(bsz) * t * dv, 0.0f);
-    tab->BatchedMatMulNNForward(sm.data(), v.data(), nn.data(), bsz, t, dv,
-                                lengths.data());
+    ASSERT_TRUE(kernels::SetActiveImpl(tab->name));
+    const Tensor at = Tensor::FromData({bsz, t, k}, a);
+    const Tensor sm =
+        MaskedSoftmaxLastDim(BatchedMatMulNT(at, at, lengths), lengths);
+    const std::vector<float> nn =
+        BatchedMatMulNN(sm, Tensor::FromData({bsz, t, dv}, v), lengths).vec();
     for (int b = 0; b < bsz; ++b)
       for (int i = 0; i < t; ++i) {
         const bool pad = i >= lengths[b];
@@ -412,25 +428,27 @@ TEST_F(ParityTest, PadRowsStayZeroWithPoisonedPadding) {
 }
 
 TEST_F(ParityTest, MaskedKernelsMatchScalarWithinTolerance) {
+  ImplRestorer restore;
   const int bsz = 2, t = 10, d = 21;
   std::vector<int> lengths = {10, 6};
   const auto x = RandVec(size_t(bsz) * t * t, 18, 4.0f);
   const auto xs = RandVec(size_t(bsz) * t * d, 19);
   const auto gamma = RandVec(d, 20);
   const auto beta = RandVec(d, 21);
-  std::vector<float> ssm(size_t(bsz) * t * t, 0.0f),
-      vsm(size_t(bsz) * t * t, 0.0f);
-  ScalarTable().MaskedSoftmaxForward(x.data(), ssm.data(), bsz, t,
-                                     lengths.data());
-  Avx2Table()->MaskedSoftmaxForward(x.data(), vsm.data(), bsz, t,
-                                    lengths.data());
+  const Tensor xt = Tensor::FromData({bsz, t, t}, x);
+  ASSERT_TRUE(kernels::SetActiveImpl("scalar"));
+  const std::vector<float> ssm = MaskedSoftmaxLastDim(xt, lengths).vec();
+  ASSERT_TRUE(kernels::SetActiveImpl("avx2"));
+  const std::vector<float> vsm = MaskedSoftmaxLastDim(xt, lengths).vec();
   EXPECT_LT(MaxRelDiff(vsm, ssm), 1e-4f);
   std::vector<float> sln(size_t(bsz) * t * d, 0.0f),
       vln(size_t(bsz) * t * d, 0.0f);
-  ScalarTable().MaskedLayerNormForward(xs.data(), gamma.data(), beta.data(),
+  ScalarTable().MaskedLayerNormForward(xs.data(), nullptr, gamma.data(),
+                                       beta.data(),
                                        1e-5f, sln.data(), nullptr, nullptr,
                                        bsz, t, d, lengths.data());
-  Avx2Table()->MaskedLayerNormForward(xs.data(), gamma.data(), beta.data(),
+  Avx2Table()->MaskedLayerNormForward(xs.data(), nullptr, gamma.data(),
+                                      beta.data(),
                                       1e-5f, vln.data(), nullptr, nullptr,
                                       bsz, t, d, lengths.data());
   EXPECT_LT(MaxRelDiff(vln, sln), 1e-4f);
@@ -492,10 +510,53 @@ TEST_F(Avx512ParityTest, MatMulMatchesAvx2Bitwise) {
           const auto b = RandVec(size_t(k) * n, seed + 1);
           auto w = RandVec(size_t(m) * n, seed + 2);
           auto ref = w;
-          Avx512Table()->MatMulForward(a.data(), b.data(), w.data(), m, k, n);
-          Avx2Table()->MatMulForward(a.data(), b.data(), ref.data(), m, k, n);
+          MatMulVia(*Avx512Table(), a.data(), b.data(), w.data(), m, k, n);
+          MatMulVia(*Avx2Table(), a.data(), b.data(), ref.data(), m, k, n);
           EXPECT_TRUE(BitwiseEqual(w, ref))
               << "m=" << m << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  });
+}
+
+// The fused entries over strided operands: Gemm with every epilogue, and
+// SoftmaxRows on rows with NaN past their width (never read or written).
+TEST_F(Avx512ParityTest, StridedGemmEpiloguesAndSoftmaxRowsMatchAvx2Bitwise) {
+  AtEachThreadCount([] {
+    for (const int m : kParityRows) {
+      for (const int k : {16, 37}) {
+        for (const int n : kGemmWidths) {
+          const size_t lda = size_t(k) + 3, ldb = size_t(n) + 5,
+                       ldo = size_t(n) + 2;
+          const uint64_t seed = uint64_t(m) * 7919 + uint64_t(k) * 31 + n;
+          const auto a = SparseVec(size_t(m) * lda, seed);
+          const auto b = RandVec(size_t(k) * ldb, seed + 1);
+          const auto out0 = RandVec(size_t(m) * ldo, seed + 2);
+          const auto bias = RandVec(size_t(n), seed + 3, 3.0f);
+          using kernels::GemmEpilogue;
+          for (const GemmEpilogue& ep :
+               {GemmEpilogue{}, GemmEpilogue::Scale(0.25f),
+                GemmEpilogue::Bias(bias.data()),
+                GemmEpilogue::BiasGelu(bias.data())}) {
+            auto w = out0, ref = out0;
+            Avx512Table()->Gemm(a.data(), lda, b.data(), ldb, w.data(), ldo,
+                                m, k, n, ep);
+            Avx2Table()->Gemm(a.data(), lda, b.data(), ldb, ref.data(), ldo,
+                              m, k, n, ep);
+            EXPECT_TRUE(BitwiseEqual(w, ref))
+                << "m=" << m << " k=" << k << " n=" << n
+                << " epilogue=" << int(ep.kind);
+          }
+          const size_t ld = size_t(n) + 4;
+          auto x = RandVec(size_t(m) * ld, seed + 4, 8.0f);
+          for (int r = 0; r < m; ++r) {
+            for (size_t j = size_t(n); j < ld; ++j) x[r * ld + j] = NAN;
+          }
+          auto w = x, ref = x;
+          Avx512Table()->SoftmaxRows(w.data(), ld, m, n);
+          Avx2Table()->SoftmaxRows(ref.data(), ld, m, n);
+          EXPECT_TRUE(BitwiseEqual(w, ref)) << "softmax m=" << m << " n=" << n;
         }
       }
     }
@@ -516,8 +577,8 @@ TEST_F(Avx512ParityTest, AllZeroRowsIgnoreNanPoisonedB) {
         const std::vector<float> b(size_t(k) * n,
                                    std::numeric_limits<float>::quiet_NaN());
         std::vector<float> w(size_t(m) * n, 0.0f), ref(size_t(m) * n, 0.0f);
-        Avx512Table()->MatMulForward(a.data(), b.data(), w.data(), m, k, n);
-        Avx2Table()->MatMulForward(a.data(), b.data(), ref.data(), m, k, n);
+        MatMulVia(*Avx512Table(), a.data(), b.data(), w.data(), m, k, n);
+        MatMulVia(*Avx2Table(), a.data(), b.data(), ref.data(), m, k, n);
         EXPECT_TRUE(BitwiseEqual(w, ref)) << "m=" << m << " n=" << n;
         for (int i = 0; i < m; ++i) {
           const float first = w[size_t(i) * n];
@@ -536,6 +597,7 @@ TEST_F(Avx512ParityTest, AllZeroRowsIgnoreNanPoisonedB) {
 // Batched attention kernels over masked lengths {0, 1, 3, 4, 5, t}, with
 // NaN in every pad position of the inputs.
 TEST_F(Avx512ParityTest, BatchedKernelsMatchAvx2Bitwise) {
+  ImplRestorer restore;
   AtEachThreadCount([] {
     for (const int t : {9, 34}) {
       const std::vector<int> lengths = {0, 1, 3, 4, 5, t};
@@ -566,15 +628,19 @@ TEST_F(Avx512ParityTest, BatchedKernelsMatchAvx2Bitwise) {
             }
           }
           auto run = [&](const KernelTable& tab) {
-            std::vector<float> nt(size_t(bsz) * t * t, 0.0f);
-            std::vector<float> nn(size_t(bsz) * t * dv, 0.0f);
-            std::vector<float> sm(size_t(bsz) * t * t, 0.0f);
-            tab.BatchedMatMulNTForward(q.data(), key.data(), nt.data(), bsz,
-                                       t, k, lengths.data());
-            tab.BatchedMatMulNNForward(w.data(), v.data(), nn.data(), bsz, t,
-                                       dv, lengths.data());
-            tab.MaskedSoftmaxForward(logits.data(), sm.data(), bsz, t,
-                                     lengths.data());
+            EXPECT_TRUE(kernels::SetActiveImpl(tab.name));
+            std::vector<float> nt =
+                BatchedMatMulNT(Tensor::FromData({bsz, t, k}, q),
+                                Tensor::FromData({bsz, t, k}, key), lengths)
+                    .vec();
+            const std::vector<float> nn =
+                BatchedMatMulNN(Tensor::FromData({bsz, t, t}, w),
+                                Tensor::FromData({bsz, t, dv}, v), lengths)
+                    .vec();
+            const std::vector<float> sm =
+                MaskedSoftmaxLastDim(Tensor::FromData({bsz, t, t}, logits),
+                                     lengths)
+                    .vec();
             nt.insert(nt.end(), nn.begin(), nn.end());
             nt.insert(nt.end(), sm.begin(), sm.end());
             return nt;
@@ -597,8 +663,8 @@ TEST_F(Avx512ParityTest, SoftmaxMatchesAvx2BitwiseAtWidths1To130) {
           x[size_t(d)] = 90.0f;
         }
         std::vector<float> w(x.size()), ref(x.size());
-        Avx512Table()->SoftmaxForward(x.data(), w.data(), rows, d);
-        Avx2Table()->SoftmaxForward(x.data(), ref.data(), rows, d);
+        SoftmaxVia(*Avx512Table(), x.data(), w.data(), rows, d);
+        SoftmaxVia(*Avx2Table(), x.data(), ref.data(), rows, d);
         EXPECT_TRUE(BitwiseEqual(w, ref)) << "rows=" << rows << " d=" << d;
       }
     }
@@ -690,7 +756,7 @@ TEST(Int8QuantTest, Int8MatMulTracksFloatWithinQuantError) {
   auto qw = quant::QuantizeWeight(w);
   auto a = RandVec(size_t(m) * k, 36, 1.5f);
   std::vector<float> fref(size_t(m) * n, 0.0f), qout(size_t(m) * n, 0.0f);
-  ScalarTable().MatMulForward(a.data(), w.data(), fref.data(), m, k, n);
+  MatMulVia(ScalarTable(), a.data(), w.data(), fref.data(), m, k, n);
   quant::Int8MatMulForward(a.data(), *qw, qout.data(), m);
   // Relative L2 drift bound — int8 symmetric quant at these shapes lands
   // well under 2%.
@@ -768,7 +834,7 @@ TEST(Int8QuantTest, OpsMatMulUsesInt8OnlyWhenEligible) {
   quant::Int8Guard q(true);
   Tensor out = MatMul(a, wg);
   std::vector<float> fref2(size_t(m) * n, 0.0f);
-  kernels::Active().MatMulForward(a.data(), wg.data(), fref2.data(), m, k,
+  MatMulVia(kernels::Active(), a.data(), wg.data(), fref2.data(), m, k,
                                   n);
   EXPECT_TRUE(BitwiseEqual(out.vec(), fref2));
 }
