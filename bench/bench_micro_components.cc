@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot components: SQL lexing /
 // parsing, automaton matching, tokenization, executor counting, PreQR
-// encoding, and the parallel tensor kernels (MatMul, attention, layer norm).
+// encoding, tenant set-up (template mining, ANALYZE), and the parallel
+// tensor kernels (MatMul, attention, layer norm).
 // These back the paper's claim that FA construction and matching incur
 // negligible cost (Section 3.3.1). Kernel benches honour PREQR_NUM_THREADS;
 // run with =1 and =4 to measure the thread-pool speedup.
@@ -19,6 +20,7 @@
 #include "nn/ops.h"
 #include "schema/schema_graph.h"
 #include "serving/encoder_service.h"
+#include "serving/tenant_registry.h"
 #include "sql/parser.h"
 #include "tasks/preqr_encoder.h"
 #include "text/tokenizer.h"
@@ -53,7 +55,7 @@ struct Shared {
           std::vector<std::string> corpus;
           for (const auto& q : gen.Synthetic(60, 2)) corpus.push_back(q.sql);
           return corpus;
-        }());
+        }()).value();
     graph = schema::SchemaGraph::Build(imdb.catalog());
     core::PreqrConfig config;
     config.d_model = 32;
@@ -298,6 +300,95 @@ void BM_ServingColdEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServingColdEncode);
+
+// --- Tenant set-up -------------------------------------------------------
+// The stages of TenantContext::Create on the perfbench tenant (its database
+// and 160-query template corpus, default model config): template mining
+// (SQL2Automaton), ANALYZE, and the whole chain. None of them uses the
+// thread pool, so these are single-thread numbers.
+
+struct SetupInputs {
+  db::Database imdb = workload::MakeImdbDatabase(42, 0.22);
+  std::vector<std::string> corpus;
+  std::vector<db::TableStats> stats;
+
+  SetupInputs() {
+    workload::ImdbQueryGenerator gen(imdb, 7);
+    for (const auto& q : gen.Synthetic(160, 2)) corpus.push_back(q.sql);
+    stats = db::StatsCollector().AnalyzeAll(imdb);
+  }
+
+  serving::TenantContext::Options TenantOptions() const {
+    serving::TenantContext::Options o;
+    o.catalog = imdb.catalog();
+    o.stats = stats;
+    o.corpus = corpus;
+    return o;
+  }
+};
+
+const SetupInputs& Setup() {
+  static const SetupInputs* inputs = new SetupInputs();
+  return *inputs;
+}
+
+void BM_TemplateExtract(benchmark::State& state) {
+  const automaton::TemplateExtractor extractor(0.2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.Extract(Setup().corpus));
+  }
+}
+BENCHMARK(BM_TemplateExtract)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeAll(benchmark::State& state) {
+  const db::StatsCollector collector;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(collector.AnalyzeAll(Setup().imdb));
+  }
+}
+BENCHMARK(BM_AnalyzeAll)->Unit(benchmark::kMillisecond);
+
+void BM_TenantCreate(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    serving::TenantContext::Options options = Setup().TenantOptions();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(serving::TenantContext::Create(std::move(options)));
+  }
+}
+BENCHMARK(BM_TenantCreate)->Unit(benchmark::kMillisecond);
+
+// Distinct misses through TryEncodeVectorBatch on the perfbench tenant, B
+// queries per call: does a batched miss cost more per query than a single
+// one? Every query is new to the encoder (a 1-entry cache never hits a
+// stream of distinct SQL), as on serve_miss. Compare items_per_second
+// (queries/s) across B.
+void BM_EncodeDistinctMisses(benchmark::State& state) {
+  static serving::TenantContext* tenant =
+      serving::TenantContext::Create(Setup().TenantOptions())
+          .value()
+          .release();
+  static const std::vector<std::string>* stream = [] {
+    workload::ImdbQueryGenerator gen(Setup().imdb, 11);
+    auto* out = new std::vector<std::string>();
+    for (const auto& q : gen.Synthetic(4096, 2)) out->push_back(q.sql);
+    return out;
+  }();
+  const size_t b = static_cast<size_t>(state.range(0));
+  tasks::PreqrEncoder::Options options;
+  options.cache_capacity = 1;
+  options.cache_shards = 1;
+  tasks::PreqrEncoder encoder(tenant->model(), options);
+  size_t next = 0;
+  std::vector<std::string> batch(b);
+  for (auto _ : state) {
+    for (auto& sql : batch) sql = (*stream)[next++ % stream->size()];
+    benchmark::DoNotOptimize(
+        encoder.TryEncodeVectorBatch(batch, /*train=*/false));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(b));
+}
+BENCHMARK(BM_EncodeDistinctMisses)->Arg(1)->Arg(2)->Arg(4);
 
 // --- Parallel tensor kernels -------------------------------------------
 // Shapes are sized so the per-row work comfortably exceeds the pool grain;

@@ -12,7 +12,7 @@ namespace {
 
 int CountTemplates(const std::vector<std::string>& queries) {
   automaton::TemplateExtractor extractor(0.2);
-  return static_cast<int>(extractor.Extract(queries).templates.size());
+  return static_cast<int>(extractor.Extract(queries).value().templates.size());
 }
 
 void Run() {

@@ -124,7 +124,7 @@ void Run() {
   {
     const auto t0 = std::chrono::steady_clock::now();
     automaton::TemplateExtractor extractor(0.2);
-    automaton::Automaton fa = extractor.BuildAutomaton(corpus);
+    automaton::Automaton fa = extractor.BuildAutomaton(corpus).value();
     (void)fa;
     nn::Adam adam(s.model->InputParameters(), 1e-3f);
     nn::Tensor schema = s.model->EncodeSchemaNodes(/*with_grad=*/false);

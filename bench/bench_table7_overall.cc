@@ -120,7 +120,7 @@ void RunGeneration() {
       auto tokenizer =
           std::make_unique<text::SqlTokenizer>(catalog, stats, 8);
       automaton::TemplateExtractor extractor(0.2);
-      automaton::Automaton fa = extractor.BuildAutomaton(train_sqls);
+      automaton::Automaton fa = extractor.BuildAutomaton(train_sqls).value();
       schema::SchemaGraph graph = schema::SchemaGraph::Build(catalog);
       core::PreqrConfig config;
       config.d_model = Sized(48, 32);

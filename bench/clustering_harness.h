@@ -97,7 +97,7 @@ inline std::vector<MethodDistances> AllMethodDistances(
     auto tokenizer =
         std::make_unique<text::SqlTokenizer>(catalog, stats, 8);
     automaton::TemplateExtractor extractor(0.2);
-    automaton::Automaton fa = extractor.BuildAutomaton(queries);
+    automaton::Automaton fa = extractor.BuildAutomaton(queries).value();
     schema::SchemaGraph graph = schema::SchemaGraph::Build(catalog);
     core::PreqrConfig config;
     config.d_model = Sized(48, 32);

@@ -113,7 +113,7 @@ inline EstimationSetup BuildEstimationSetup(core::PreqrConfig config,
   }
   if (corpus.size() > 350) corpus.resize(350);
   automaton::TemplateExtractor extractor(0.2);
-  s.fa = extractor.BuildAutomaton(corpus);
+  s.fa = extractor.BuildAutomaton(corpus).value();
   s.graph = schema::SchemaGraph::Build(s.imdb.catalog());
   s.model = std::make_unique<core::PreqrModel>(config, s.tokenizer.get(),
                                                &s.fa, &s.graph, seed + 2);

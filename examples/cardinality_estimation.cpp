@@ -41,7 +41,7 @@ int main() {
   auto stats = collector.AnalyzeAll(imdb);
   text::SqlTokenizer tokenizer(imdb.catalog(), stats, 16);
   automaton::TemplateExtractor extractor(0.2);
-  automaton::Automaton fa = extractor.BuildAutomaton(train_sqls);
+  automaton::Automaton fa = extractor.BuildAutomaton(train_sqls).value();
   schema::SchemaGraph graph = schema::SchemaGraph::Build(imdb.catalog());
   core::PreqrConfig config;
   config.d_model = 48;

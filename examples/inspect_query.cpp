@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> corpus = {sql};
   for (const auto& q : gen.Synthetic(60, 2)) corpus.push_back(q.sql);
   automaton::TemplateExtractor extractor(0.2);
-  automaton::Automaton fa = extractor.BuildAutomaton(corpus);
+  automaton::Automaton fa = extractor.BuildAutomaton(corpus).value();
   std::vector<automaton::Symbol> symbols(tokenized.value().symbols.begin() + 1,
                                          tokenized.value().symbols.end());
   auto match = fa.Match(symbols);

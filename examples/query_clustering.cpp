@@ -41,7 +41,7 @@ int main() {
   std::vector<db::TableStats> stats;  // schema-only workload: no data stats
   text::SqlTokenizer tokenizer(wl.catalog, stats, 8);
   automaton::TemplateExtractor extractor(0.2);
-  automaton::Automaton fa = extractor.BuildAutomaton(wl.queries);
+  automaton::Automaton fa = extractor.BuildAutomaton(wl.queries).value();
   schema::SchemaGraph graph = schema::SchemaGraph::Build(wl.catalog);
   core::PreqrConfig config;
   config.d_model = 48;

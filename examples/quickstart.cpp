@@ -38,7 +38,7 @@ int main() {
   auto stats = collector.AnalyzeAll(imdb);
   text::SqlTokenizer tokenizer(imdb.catalog(), stats, /*buckets=*/8);
   automaton::TemplateExtractor extractor(0.2);
-  automaton::Automaton fa = extractor.BuildAutomaton(workload_sqls);
+  automaton::Automaton fa = extractor.BuildAutomaton(workload_sqls).value();
   schema::SchemaGraph graph = schema::SchemaGraph::Build(imdb.catalog());
   std::printf("automaton: %d states from the workload's templates\n",
               fa.num_states());

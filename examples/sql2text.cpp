@@ -31,7 +31,7 @@ int main() {
   std::vector<db::TableStats> stats;
   text::SqlTokenizer tokenizer(catalog, stats, 8);
   automaton::TemplateExtractor extractor(0.2);
-  automaton::Automaton fa = extractor.BuildAutomaton(train_sqls);
+  automaton::Automaton fa = extractor.BuildAutomaton(train_sqls).value();
   schema::SchemaGraph graph = schema::SchemaGraph::Build(catalog);
   core::PreqrConfig config;
   config.d_model = 48;

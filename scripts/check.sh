@@ -63,7 +63,7 @@ fi
 if [[ "${SKIP_FUZZ:-0}" == "1" ]]; then
   echo "== FUZZ stage skipped (SKIP_FUZZ=1) =="
 else
-  echo "== FUZZ: grammar/mutation fuzz suites under ASan and TSan =="
+  echo "== FUZZ: grammar/mutation fuzz suites under ASan and TSan, set-up equivalence under ASan and UBSan =="
   # Deterministic seeds (the suites' built-in defaults) keep this stage
   # bounded and reproducible; scripts/fuzz.sh is the open-ended long run.
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null
@@ -73,6 +73,15 @@ else
     ./build-asan/tests/fuzz_regression_test
   ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
     ./build-asan/tests/fuzz_stress_test
+  # Tenant set-up against its pre-memoization references (template
+  # clustering over the fuzz stream, edit distance, column statistics),
+  # under ASan and then UBSan.
+  cmake --build build-asan -j --target setup_equivalence_test
+  ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+    ./build-asan/tests/setup_equivalence_test
+  cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j --target setup_equivalence_test
+  ./build-ubsan/tests/setup_equivalence_test
   # The concurrent drills again under TSan: encodes racing
   # ReloadModel/InvalidateCache, and three tenants racing per-tenant
   # reloads plus a mid-drill deregistration, with the fuzz stream as input.

@@ -2,17 +2,19 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <tuple>
 
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
 namespace preqr::automaton {
 
-NormalizedQuery NormalizeForTemplate(const std::string& sql) {
+namespace {
+
+// Splits a query's structural symbols into its clauses.
+NormalizedQuery NormalizeSymbols(const std::vector<Symbol>& symbols) {
   NormalizedQuery out;
-  auto tokens = sql::Lex(sql);
-  if (!tokens.ok()) return out;
-  const auto symbols = StructuralSymbols(tokens.value());
   std::string* cur = &out.select_clause;
   for (size_t i = 0; i < symbols.size(); ++i) {
     const Symbol s = symbols[i];
@@ -42,6 +44,14 @@ NormalizedQuery NormalizeForTemplate(const std::string& sql) {
   return out;
 }
 
+}  // namespace
+
+NormalizedQuery NormalizeForTemplate(const std::string& sql) {
+  auto tokens = sql::Lex(sql);
+  if (!tokens.ok()) return {};
+  return NormalizeSymbols(StructuralSymbols(tokens.value()));
+}
+
 double TemplateDistance(const NormalizedQuery& a, const NormalizedQuery& b) {
   // Per-clause similarities weighted by the paper's emphasis: selection and
   // join structure matter most, then projections, then the tail.
@@ -57,13 +67,53 @@ double TemplateDistance(const NormalizedQuery& a, const NormalizedQuery& b) {
   return 1.0 - sim;
 }
 
-TemplateExtractor::Extraction TemplateExtractor::Extract(
+StatusOr<TemplateExtractor::Extraction> TemplateExtractor::Extract(
     const std::vector<std::string>& queries) const {
   Extraction out;
   out.assignment.assign(queries.size(), -1);
-  std::vector<NormalizedQuery> norms;
-  norms.reserve(queries.size());
-  for (const auto& q : queries) norms.push_back(NormalizeForTemplate(q));
+  // One lex per query. Its symbols give the normalized form, interned to a
+  // distinct-form id in first-seen order, and later the medoid's template.
+  std::vector<std::vector<Symbol>> symbols;
+  symbols.reserve(queries.size());
+  std::vector<NormalizedQuery> forms;
+  std::vector<size_t> form_of;
+  form_of.reserve(queries.size());
+  const auto less = [](const NormalizedQuery& a, const NormalizedQuery& b) {
+    return std::tie(a.select_clause, a.from_clause, a.where_clause,
+                    a.tail_clause) < std::tie(b.select_clause, b.from_clause,
+                                              b.where_clause, b.tail_clause);
+  };
+  std::map<NormalizedQuery, size_t, decltype(less)> form_ids(less);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto tokens = sql::Lex(queries[i]);
+    if (!tokens.ok()) {
+      return Status::InvalidArgument("query " + std::to_string(i) +
+                                     " does not lex: " +
+                                     tokens.status().message());
+    }
+    symbols.push_back(StructuralSymbols(tokens.value()));
+    NormalizedQuery form = NormalizeSymbols(symbols.back());
+    const auto [it, inserted] =
+        form_ids.try_emplace(std::move(form), forms.size());
+    if (inserted) forms.push_back(it->first);
+    form_of.push_back(it->second);
+  }
+  // Distances between distinct forms, filled on first use (NaN: not yet;
+  // no distance is NaN). Workloads repeat forms, so most lookups skip the
+  // edit-distance DPs, and TemplateDistance is symmetric bit for bit, so
+  // one call fills both halves.
+  const size_t n = forms.size();
+  std::vector<double> memo(n * n, std::numeric_limits<double>::quiet_NaN());
+  const auto distance = [&](int i, int j) {
+    const size_t a = form_of[static_cast<size_t>(i)];
+    const size_t b = form_of[static_cast<size_t>(j)];
+    double& dist = memo[a * n + b];
+    if (std::isnan(dist)) {
+      dist = TemplateDistance(forms[a], forms[b]);
+      memo[b * n + a] = dist;
+    }
+    return dist;
+  };
 
   // Leader clustering: first member of each cluster is its leader.
   std::vector<int> leaders;
@@ -72,8 +122,7 @@ TemplateExtractor::Extraction TemplateExtractor::Extract(
     int best = -1;
     double best_d = std::numeric_limits<double>::max();
     for (size_t c = 0; c < leaders.size(); ++c) {
-      const double d =
-          TemplateDistance(norms[i], norms[static_cast<size_t>(leaders[c])]);
+      const double d = distance(static_cast<int>(i), leaders[c]);
       if (d < best_d) {
         best_d = d;
         best = static_cast<int>(c);
@@ -97,10 +146,7 @@ TemplateExtractor::Extraction TemplateExtractor::Extract(
       for (int i : cluster) {
         double total = 0;
         for (int j : cluster) {
-          if (i != j) {
-            total += TemplateDistance(norms[static_cast<size_t>(i)],
-                                      norms[static_cast<size_t>(j)]);
-          }
+          if (i != j) total += distance(i, j);
         }
         if (total < best_total) {
           best_total = total;
@@ -108,18 +154,17 @@ TemplateExtractor::Extraction TemplateExtractor::Extract(
         }
       }
     }
-    const auto symbols =
-        StructuralSymbols(queries[static_cast<size_t>(medoid)]);
-    out.templates.push_back(Collapse(symbols));
+    out.templates.push_back(Collapse(symbols[static_cast<size_t>(medoid)]));
   }
   return out;
 }
 
-Automaton TemplateExtractor::BuildAutomaton(
+StatusOr<Automaton> TemplateExtractor::BuildAutomaton(
     const std::vector<std::string>& queries) const {
-  const Extraction extraction = Extract(queries);
+  auto extraction = Extract(queries);
+  if (!extraction.ok()) return extraction.status();
   AutomatonBuilder builder;
-  for (const auto& t : extraction.templates) builder.AddTemplate(t);
+  for (const auto& t : extraction.value().templates) builder.AddTemplate(t);
   return builder.Build();
 }
 

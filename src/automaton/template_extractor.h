@@ -6,6 +6,7 @@
 
 #include "automaton/fa.h"
 #include "automaton/symbol.h"
+#include "common/status.h"
 
 namespace preqr::automaton {
 
@@ -20,15 +21,20 @@ struct NormalizedQuery {
   std::string tail_clause;  // GROUP BY / ORDER BY / LIMIT / UNION marker
 };
 
+// Lex + normalize. A query that does not lex normalizes to empty clauses.
 NormalizedQuery NormalizeForTemplate(const std::string& sql);
 
 // Hybrid distance in [0,1]: per-clause edit-similarities merged with a
-// cosine-style weighting. 0 = structurally identical.
+// cosine-style weighting. 0 = structurally identical. A pure function,
+// symmetric bit for bit: each clause's edit distance is symmetric and its
+// denominator is a max.
 double TemplateDistance(const NormalizedQuery& a, const NormalizedQuery& b);
 
 // Clusters a workload's queries by template and extracts one collapsed
 // symbol sequence per cluster (the cluster medoid). Deterministic
-// leader-style agglomeration with distance threshold `epsilon`.
+// leader-style agglomeration with distance threshold `epsilon`. Each query
+// is lexed once; distances are computed once per pair of distinct
+// normalized forms (DESIGN.md §5a).
 class TemplateExtractor {
  public:
   explicit TemplateExtractor(double epsilon = 0.2) : epsilon_(epsilon) {}
@@ -40,10 +46,12 @@ class TemplateExtractor {
     std::vector<int> assignment;
   };
 
-  Extraction Extract(const std::vector<std::string>& queries) const;
+  // kInvalidArgument naming the first query index that does not lex.
+  StatusOr<Extraction> Extract(const std::vector<std::string>& queries) const;
 
   // Convenience: extract templates and build the merged automaton.
-  Automaton BuildAutomaton(const std::vector<std::string>& queries) const;
+  StatusOr<Automaton> BuildAutomaton(
+      const std::vector<std::string>& queries) const;
 
  private:
   double epsilon_;

@@ -40,20 +40,38 @@ std::string Join(const std::vector<std::string>& pieces,
 }
 
 int EditDistance(std::string_view a, std::string_view b) {
+  // A common prefix or suffix never changes a unit-cost Levenshtein
+  // distance, so only the differing middle needs the DP (equal strings
+  // trim to nothing).
+  while (!a.empty() && !b.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
+  }
+  while (!a.empty() && !b.empty() && a.back() == b.back()) {
+    a.remove_suffix(1);
+    b.remove_suffix(1);
+  }
   const size_t n = a.size(), m = b.size();
   if (n == 0) return static_cast<int>(m);
   if (m == 0) return static_cast<int>(n);
-  std::vector<int> prev(m + 1), cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
+  // One DP row: before row i overwrites row[j] it holds D[i-1][j], and
+  // `diag` carries D[i-1][j-1] from the previous column.
+  std::vector<int> row(m + 1);
+  for (size_t j = 0; j <= m; ++j) row[j] = static_cast<int>(j);
   for (size_t i = 1; i <= n; ++i) {
-    cur[0] = static_cast<int>(i);
+    const char ai = a[i - 1];
+    int diag = row[0];
+    row[0] = static_cast<int>(i);
     for (size_t j = 1; j <= m; ++j) {
-      const int cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
+      const int up = row[j];
+      int best = diag + (ai == b[j - 1] ? 0 : 1);
+      if (up + 1 < best) best = up + 1;
+      if (row[j - 1] + 1 < best) best = row[j - 1] + 1;
+      diag = up;
+      row[j] = best;
     }
-    std::swap(prev, cur);
   }
-  return prev[m];
+  return row[m];
 }
 
 double StringSimilarity(std::string_view a, std::string_view b) {

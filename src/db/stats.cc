@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -11,6 +12,20 @@ namespace preqr::db {
 
 namespace {
 constexpr double kDefaultEqSel = 0.005;
+
+// MCV order: count descending, then key ascending. Keys are distinct, so
+// the order is strict and total and a partial sort keeps exactly the
+// entries (and the order) a full sort would.
+template <typename Key>
+void SortTopByFrequency(std::vector<std::pair<Key, size_t>>* counts,
+                        size_t k) {
+  const auto top = counts->begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(counts->begin(), top, counts->end(),
+                    [](const auto& a, const auto& b) {
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
+                    });
+}
 }  // namespace
 
 double ColumnStats::EstimateEqualitySelectivity(double value) const {
@@ -103,11 +118,9 @@ ColumnStats StatsCollector::AnalyzeColumn(const Column& column) const {
     stats.num_distinct = static_cast<int64_t>(counts.size());
     std::vector<std::pair<std::string, size_t>> by_freq(counts.begin(),
                                                         counts.end());
-    std::sort(by_freq.begin(), by_freq.end(), [](const auto& a, const auto& b) {
-      return a.second != b.second ? a.second > b.second : a.first < b.first;
-    });
     const size_t k = std::min<size_t>(static_cast<size_t>(num_mcv_),
                                       by_freq.size());
+    SortTopByFrequency(&by_freq, k);
     for (size_t i = 0; i < k; ++i) {
       stats.mcv_string.emplace_back(
           by_freq[i].first,
@@ -124,20 +137,24 @@ ColumnStats StatsCollector::AnalyzeColumn(const Column& column) const {
   stats.min = values.front();
   stats.max = values.back();
 
-  // Distinct count + MCVs from value frequencies.
-  std::unordered_map<int64_t, size_t> counts;  // quantized for floats
-  for (double v : values) ++counts[static_cast<int64_t>(v * 1000.0)];
-  stats.num_distinct = static_cast<int64_t>(counts.size());
-  std::vector<std::pair<int64_t, size_t>> by_freq(counts.begin(), counts.end());
-  std::sort(by_freq.begin(), by_freq.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
+  // Distinct count + MCVs from value frequencies, quantized for floats.
+  // The key never decreases as v grows, so equal keys are adjacent in the
+  // sorted values and one pass counts their runs.
+  std::vector<std::pair<int64_t, size_t>> runs;
+  runs.reserve(values.size());
+  for (double v : values) {
+    const auto key = static_cast<int64_t>(v * 1000.0);
+    if (runs.empty() || runs.back().first != key) runs.emplace_back(key, 0);
+    ++runs.back().second;
+  }
+  stats.num_distinct = static_cast<int64_t>(runs.size());
   const size_t k =
-      std::min<size_t>(static_cast<size_t>(num_mcv_), by_freq.size());
+      std::min<size_t>(static_cast<size_t>(num_mcv_), runs.size());
+  SortTopByFrequency(&runs, k);
   for (size_t i = 0; i < k; ++i) {
     stats.mcv_numeric.emplace_back(
-        static_cast<double>(by_freq[i].first) / 1000.0,
-        static_cast<double>(by_freq[i].second) /
+        static_cast<double>(runs[i].first) / 1000.0,
+        static_cast<double>(runs[i].second) /
             static_cast<double>(column.size()));
   }
 

@@ -7,12 +7,11 @@
 
 namespace preqr::serving {
 
-TenantContext::TenantContext(Options options)
+TenantContext::TenantContext(Options options, automaton::Automaton fa)
     : catalog_(std::move(options.catalog)),
       stats_(std::move(options.stats)),
       graph_(schema::SchemaGraph::Build(catalog_)),
-      fa_(automaton::TemplateExtractor(options.template_epsilon)
-              .BuildAutomaton(options.corpus)),
+      fa_(std::move(fa)),
       tokenizer_(std::make_unique<text::SqlTokenizer>(
           catalog_, stats_, options.num_value_buckets)),
       model_(std::make_unique<core::PreqrModel>(options.config,
@@ -34,10 +33,16 @@ StatusOr<std::unique_ptr<TenantContext>> TenantContext::Create(
         std::to_string(options.stats.size()) + " stats for " +
         std::to_string(options.catalog.tables().size()) + " tables)");
   }
+  auto fa = automaton::TemplateExtractor(options.template_epsilon)
+                .BuildAutomaton(options.corpus);
+  if (!fa.ok()) {
+    return Status::InvalidArgument("TenantContext: corpus " +
+                                   fa.status().message());
+  }
   // The ctor is private (construction order is an invariant, not a
   // convenience), so no make_unique here.
   return std::unique_ptr<TenantContext>(
-      new TenantContext(std::move(options)));
+      new TenantContext(std::move(options), std::move(fa).value()));
 }
 
 std::string TenantContext::Describe() const {

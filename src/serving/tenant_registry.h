@@ -39,7 +39,8 @@ class TenantContext {
     sql::Catalog catalog;
     std::vector<db::TableStats> stats;
     // Representative workload the template automaton is mined from. May be
-    // empty (the automaton degrades to its start state gracefully).
+    // empty (the automaton degrades to its start state gracefully); every
+    // query must lex.
     std::vector<std::string> corpus;
     core::PreqrConfig config;
     uint64_t seed = 1234;
@@ -49,8 +50,9 @@ class TenantContext {
   };
 
   // Builds the full chain (graph -> automaton -> tokenizer -> model ->
-  // encoder). Misaligned stats fail with kInvalidArgument — a registry
-  // driven by runtime registration must not crash on bad input.
+  // encoder). Misaligned stats, or a corpus query that does not lex, fail
+  // with kInvalidArgument — a registry driven by runtime registration must
+  // not crash on bad input, nor mine a template from it.
   static StatusOr<std::unique_ptr<TenantContext>> Create(Options options);
 
   // Members point into each other; moving or copying would dangle them.
@@ -70,7 +72,7 @@ class TenantContext {
   std::string Describe() const;
 
  private:
-  explicit TenantContext(Options options);
+  TenantContext(Options options, automaton::Automaton fa);
 
   // Construction order is load-bearing: each member may reference the ones
   // above it, and destruction runs in reverse.

@@ -176,7 +176,7 @@ TEST(TemplateExtractorTest, GroupsByStructure) {
       "SELECT COUNT(*) FROM t1, t2 WHERE t1.a = t2.b AND t1.c > 3",
       "SELECT COUNT(*) FROM p, q WHERE p.k = q.k AND p.v > 9",
   };
-  auto ext = extractor.Extract(queries);
+  auto ext = extractor.Extract(queries).value();
   EXPECT_EQ(ext.templates.size(), 2u);
   EXPECT_EQ(ext.assignment[0], ext.assignment[1]);
   EXPECT_EQ(ext.assignment[2], ext.assignment[3]);
@@ -185,11 +185,11 @@ TEST(TemplateExtractorTest, GroupsByStructure) {
 
 TEST(TemplateExtractorTest, PaperFigure2Queries) {
   TemplateExtractor extractor(0.2);
-  auto ext = extractor.Extract({kQ1, kQ2, kQ3, kQ4, kQ5});
+  auto ext = extractor.Extract({kQ1, kQ2, kQ3, kQ4, kQ5}).value();
   // All five structures are distinct templates at a tight threshold...
   EXPECT_GE(ext.templates.size(), 3u);
   // ...and the automaton accepts each of them.
-  Automaton fa = extractor.BuildAutomaton({kQ1, kQ2, kQ3, kQ4, kQ5});
+  Automaton fa = extractor.BuildAutomaton({kQ1, kQ2, kQ3, kQ4, kQ5}).value();
   for (const char* q : {kQ1, kQ2, kQ3, kQ4, kQ5}) {
     EXPECT_TRUE(fa.Match(StructuralSymbols(q)).accepted) << q;
   }
@@ -197,7 +197,7 @@ TEST(TemplateExtractorTest, PaperFigure2Queries) {
 
 TEST(TemplateExtractorTest, EmptyWorkload) {
   TemplateExtractor extractor;
-  auto ext = extractor.Extract({});
+  auto ext = extractor.Extract({}).value();
   EXPECT_TRUE(ext.templates.empty());
   EXPECT_TRUE(ext.assignment.empty());
 }
@@ -208,7 +208,7 @@ TEST(TemplateExtractorTest, AssignmentCoversAllQueries) {
   for (int i = 0; i < 50; ++i) {
     queries.push_back("SELECT a FROM t WHERE b = " + std::to_string(i));
   }
-  auto ext = extractor.Extract(queries);
+  auto ext = extractor.Extract(queries).value();
   EXPECT_EQ(ext.templates.size(), 1u);
   for (int a : ext.assignment) EXPECT_EQ(a, 0);
 }

@@ -29,7 +29,7 @@ struct Env {
     workload::ImdbQueryGenerator gen(imdb, 1);
     for (const auto& q : gen.Synthetic(40, 2)) corpus.push_back(q.sql);
     automaton::TemplateExtractor extractor(0.2);
-    fa = extractor.BuildAutomaton(corpus);
+    fa = extractor.BuildAutomaton(corpus).value();
     graph = schema::SchemaGraph::Build(imdb.catalog());
   }
   PreqrModel MakeModel(PreqrConfig config = SmallConfig()) {

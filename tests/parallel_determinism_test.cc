@@ -38,7 +38,7 @@ struct Env {
     workload::ImdbQueryGenerator gen(imdb, 2);
     for (const auto& q : gen.Synthetic(24, 2)) corpus.push_back(q.sql);
     automaton::TemplateExtractor extractor(0.2);
-    fa = extractor.BuildAutomaton(corpus);
+    fa = extractor.BuildAutomaton(corpus).value();
     graph = schema::SchemaGraph::Build(imdb.catalog());
   }
   PreqrModel MakeModel() {

@@ -53,7 +53,7 @@ struct Env {
       if (seen.insert(q.sql).second) corpus.push_back(q.sql);
     }
     automaton::TemplateExtractor extractor(0.2);
-    fa = extractor.BuildAutomaton(corpus);
+    fa = extractor.BuildAutomaton(corpus).value();
     graph = schema::SchemaGraph::Build(imdb.catalog());
   }
   core::PreqrModel MakeModel() {

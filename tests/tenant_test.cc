@@ -102,6 +102,21 @@ TEST(TenantContextTest, CreateValidatesAndDescribes) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(TenantContextTest, CorpusQueryThatDoesNotLexIsRejectedByIndex) {
+  // An unlexable corpus query must not become an empty template: the
+  // status names the first such query.
+  TenantContext::Options bad = MakeTenantOptions(7);
+  ASSERT_GE(bad.corpus.size(), 3u);
+  bad.corpus.insert(bad.corpus.begin() + 2, "SELECT @@@ FROM title");
+  bad.corpus.push_back("SELECT 'unterminated FROM title");
+  auto rejected = TenantContext::Create(std::move(bad));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("corpus query 2 does not lex"),
+            std::string::npos)
+      << rejected.status().message();
+}
+
 TEST(TenantRegistryTest, LifecycleAndDuplicateRejection) {
   EncoderService service{EncoderServiceOptions{}};
   TenantRegistry registry(&service);
