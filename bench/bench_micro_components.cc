@@ -21,6 +21,7 @@
 #include "schema/schema_graph.h"
 #include "serving/encoder_service.h"
 #include "serving/tenant_registry.h"
+#include "serving/wire.h"
 #include "sql/parser.h"
 #include "tasks/preqr_encoder.h"
 #include "text/tokenizer.h"
@@ -300,6 +301,48 @@ void BM_ServingColdEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServingColdEncode);
+
+// The wire codec of one cache hit, single thread: the server renders a
+// 320-float kEncode ok reply (the slot layout of AppendResponse in
+// serving/server.cc), frames it, and the client decodes it (the layout
+// ParseResultSlot in serving/client.cc reads). The frame's payload goes
+// to sendmsg uncopied, so framing is the 4-byte length prefix alone.
+void BM_WireReplyCodec(benchmark::State& state) {
+  namespace wire = serving::wire;
+  std::vector<float> embedding(320);
+  for (size_t i = 0; i < embedding.size(); ++i) {
+    embedding[i] = static_cast<float>(i) * 0.37f - 50.0f;
+  }
+  for (auto _ : state) {
+    std::string reply;
+    reply.reserve(1 + 1 + 8 + 8 + 4 + 4 * embedding.size());
+    wire::PutU8(&reply, 0);
+    wire::PutU8(&reply, wire::kFlagCacheHit);
+    wire::PutF64(&reply, 1.5);
+    wire::PutF64(&reply, 0.0);
+    wire::PutU32(&reply, static_cast<uint32_t>(embedding.size()));
+    wire::PutF32s(&reply, embedding.data(), embedding.size());
+    std::string header;
+    wire::PutU32(&header, static_cast<uint32_t>(reply.size()));
+    benchmark::DoNotOptimize(header.data());
+
+    wire::Reader r(reply);
+    uint8_t code = 0, flags = 0;
+    double queue_us = 0, encode_us = 0;
+    uint32_t dim = 0;
+    if (!r.GetU8(&code) || !r.GetU8(&flags) || !r.GetF64(&queue_us) ||
+        !r.GetF64(&encode_us) || !r.GetU32(&dim)) {
+      state.SkipWithError("torn reply");
+      break;
+    }
+    std::vector<float> decoded(dim);
+    r.GetF32s(decoded.data(), dim);
+    benchmark::DoNotOptimize(decoded.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireReplyCodec);
 
 // --- Tenant set-up -------------------------------------------------------
 // The stages of TenantContext::Create on the perfbench tenant (its database

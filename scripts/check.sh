@@ -63,7 +63,7 @@ fi
 if [[ "${SKIP_FUZZ:-0}" == "1" ]]; then
   echo "== FUZZ stage skipped (SKIP_FUZZ=1) =="
 else
-  echo "== FUZZ: grammar/mutation fuzz suites under ASan and TSan, set-up equivalence under ASan and UBSan =="
+  echo "== FUZZ: grammar/mutation fuzz suites under ASan and TSan, wire tests and set-up equivalence under ASan, set-up equivalence under UBSan =="
   # Deterministic seeds (the suites' built-in defaults) keep this stage
   # bounded and reproducible; scripts/fuzz.sh is the open-ended long run.
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null
@@ -73,6 +73,13 @@ else
     ./build-asan/tests/fuzz_regression_test
   ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
     ./build-asan/tests/fuzz_stress_test
+  # The wire codec and the shared frame I/O: codec bytes against the
+  # per-float loop, partial, pipelined, oversized and torn frames over a
+  # socketpair and a live loopback server.
+  cmake --build build-asan -j --target wire_test --target server_test
+  ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" ./build-asan/tests/wire_test
+  ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+    ./build-asan/tests/server_test
   # Tenant set-up against its pre-memoization references (template
   # clustering over the fuzz stream, edit distance, column statistics),
   # under ASan and then UBSan.
@@ -102,13 +109,15 @@ else
   # check of the emitted JSON, per-tenant rows included.
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target serving_api_test \
-    --target tenant_test --target server_test --target bench_serving_load
+    --target tenant_test --target server_test --target wire_test \
+    --target bench_serving_load
   PREQR_NUM_THREADS=8 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ./build-tsan/tests/serving_api_test
   PREQR_NUM_THREADS=8 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ./build-tsan/tests/tenant_test
   PREQR_NUM_THREADS=8 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ./build-tsan/tests/server_test
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" ./build-tsan/tests/wire_test
   LOAD_SECONDS=1 LOAD_CLIENTS=4 TENANTS=2 \
     BENCH_SERVING_JSON=build-tsan/BENCH_serving.json \
     TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \

@@ -46,9 +46,12 @@ NormalizedQuery NormalizeSymbols(const std::vector<Symbol>& symbols) {
 
 }  // namespace
 
-NormalizedQuery NormalizeForTemplate(const std::string& sql) {
+StatusOr<NormalizedQuery> NormalizeForTemplate(const std::string& sql) {
   auto tokens = sql::Lex(sql);
-  if (!tokens.ok()) return {};
+  if (!tokens.ok()) {
+    return Status::InvalidArgument("query does not lex: " +
+                                   tokens.status().message());
+  }
   return NormalizeSymbols(StructuralSymbols(tokens.value()));
 }
 

@@ -21,8 +21,9 @@ struct NormalizedQuery {
   std::string tail_clause;  // GROUP BY / ORDER BY / LIMIT / UNION marker
 };
 
-// Lex + normalize. A query that does not lex normalizes to empty clauses.
-NormalizedQuery NormalizeForTemplate(const std::string& sql);
+// Lex + normalize. kInvalidArgument naming the lex error if the query does
+// not lex.
+StatusOr<NormalizedQuery> NormalizeForTemplate(const std::string& sql);
 
 // Hybrid distance in [0,1]: per-clause edit-similarities merged with a
 // cosine-style weighting. 0 = structurally identical. A pure function,

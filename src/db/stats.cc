@@ -26,6 +26,70 @@ void SortTopByFrequency(std::vector<std::pair<Key, size_t>>* counts,
                                                   : a.first < b.first;
                     });
 }
+
+// Folds a numeric column's values, visited in ascending order as
+// (value, count) groups, into the distinct-key runs the MCVs come from and
+// the equi-depth histogram bounds. Values are quantized to the key
+// static_cast<int64_t>(v * 1000.0), which never decreases as v grows, so
+// equal keys are adjacent and adjacent values sharing a key merge into one
+// run.
+class AscendingFold {
+ public:
+  AscendingFold(size_t rows, int num_buckets, ColumnStats* stats)
+      : rows_(rows), num_buckets_(num_buckets), stats_(stats) {
+    stats_->histogram_bounds.reserve(static_cast<size_t>(num_buckets) + 1);
+  }
+
+  void Add(double v, size_t count) {
+    const auto key = static_cast<int64_t>(v * 1000.0);
+    if (runs_.empty() || runs_.back().first != key) runs_.emplace_back(key, 0);
+    runs_.back().second += count;
+    seen_ += count;
+    // Bound b is the sorted value at BoundIndex(b): v, for every index the
+    // group [seen_ - count, seen_) covers.
+    while (next_bound_ <= num_buckets_ && BoundIndex(next_bound_) < seen_) {
+      stats_->histogram_bounds.push_back(v);
+      ++next_bound_;
+    }
+  }
+
+  std::vector<std::pair<int64_t, size_t>>& runs() { return runs_; }
+
+ private:
+  size_t BoundIndex(int b) const {
+    return std::min(rows_ - 1,
+                    static_cast<size_t>(static_cast<double>(b) / num_buckets_ *
+                                        static_cast<double>(rows_ - 1)));
+  }
+
+  size_t rows_;
+  int num_buckets_;
+  ColumnStats* stats_;
+  std::vector<std::pair<int64_t, size_t>> runs_;
+  size_t seen_ = 0;
+  int next_bound_ = 0;
+};
+
+// An int column whose max − min is below its row count is counted in one
+// pass and fed to the fold as its distinct values in order; the values
+// become doubles only there, which orders them exactly as sorting their
+// doubles would. Returns false, touching nothing, for any other column.
+bool FoldDenseInts(const std::vector<int64_t>& ints, AscendingFold* fold,
+                   ColumnStats* stats) {
+  const auto [lo, hi] = std::minmax_element(ints.begin(), ints.end());
+  const auto min = static_cast<uint64_t>(*lo);
+  const uint64_t range = static_cast<uint64_t>(*hi) - min;
+  if (range >= ints.size()) return false;
+  stats->min = static_cast<double>(*lo);
+  stats->max = static_cast<double>(*hi);
+  std::vector<size_t> counts(range + 1, 0);
+  for (int64_t v : ints) ++counts[static_cast<uint64_t>(v) - min];
+  for (uint64_t i = 0; i <= range; ++i) {
+    if (counts[i] == 0) continue;
+    fold->Add(static_cast<double>(static_cast<int64_t>(min + i)), counts[i]);
+  }
+  return true;
+}
 }  // namespace
 
 double ColumnStats::EstimateEqualitySelectivity(double value) const {
@@ -130,23 +194,22 @@ ColumnStats StatsCollector::AnalyzeColumn(const Column& column) const {
     return stats;
   }
 
-  std::vector<double> values;
-  values.reserve(column.size());
-  for (size_t i = 0; i < column.size(); ++i) values.push_back(column.AsDouble(i));
-  std::sort(values.begin(), values.end());
-  stats.min = values.front();
-  stats.max = values.back();
-
-  // Distinct count + MCVs from value frequencies, quantized for floats.
-  // The key never decreases as v grows, so equal keys are adjacent in the
-  // sorted values and one pass counts their runs.
-  std::vector<std::pair<int64_t, size_t>> runs;
-  runs.reserve(values.size());
-  for (double v : values) {
-    const auto key = static_cast<int64_t>(v * 1000.0);
-    if (runs.empty() || runs.back().first != key) runs.emplace_back(key, 0);
-    ++runs.back().second;
+  AscendingFold fold(column.size(), num_buckets_, &stats);
+  if (column.type != sql::ColumnType::kInt ||
+      !FoldDenseInts(column.ints, &fold, &stats)) {
+    std::vector<double> values;
+    values.reserve(column.size());
+    for (size_t i = 0; i < column.size(); ++i) {
+      values.push_back(column.AsDouble(i));
+    }
+    std::sort(values.begin(), values.end());
+    stats.min = values.front();
+    stats.max = values.back();
+    for (double v : values) fold.Add(v, 1);
   }
+
+  // Distinct count + MCVs from the key runs.
+  auto& runs = fold.runs();
   stats.num_distinct = static_cast<int64_t>(runs.size());
   const size_t k =
       std::min<size_t>(static_cast<size_t>(num_mcv_), runs.size());
@@ -156,17 +219,6 @@ ColumnStats StatsCollector::AnalyzeColumn(const Column& column) const {
         static_cast<double>(runs[i].first) / 1000.0,
         static_cast<double>(runs[i].second) /
             static_cast<double>(column.size()));
-  }
-
-  // Equi-depth histogram bounds over the sorted values.
-  const int nb = num_buckets_;
-  stats.histogram_bounds.reserve(static_cast<size_t>(nb) + 1);
-  for (int b = 0; b <= nb; ++b) {
-    const size_t idx = std::min(
-        values.size() - 1,
-        static_cast<size_t>(static_cast<double>(b) / nb *
-                            static_cast<double>(values.size() - 1)));
-    stats.histogram_bounds.push_back(values[idx]);
   }
   return stats;
 }

@@ -14,32 +14,6 @@
 namespace preqr::serving {
 namespace {
 
-bool ReadFull(int fd, char* buf, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const char* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(r);
-  }
-  return true;
-}
-
 void AppendRequestHeader(std::string* out, const WireRequestOptions& options) {
   wire::PutString(out, options.tenant_id);
   wire::PutString(out, options.client_id);
@@ -66,12 +40,12 @@ StatusOr<WireEncodeResult> ParseResultSlot(wire::Reader* r) {
   uint32_t dim = 0;
   if (!r->GetU8(&flags) || !r->GetF64(&result.queue_us) ||
       !r->GetF64(&result.encode_us) || !r->GetU32(&dim) ||
-      r->remaining() < static_cast<size_t>(dim) * 4) {
+      r->remaining() / 4 < dim) {
     return Status::Unavailable("torn encode reply from server");
   }
   result.cache_hit = (flags & wire::kFlagCacheHit) != 0;
   result.embedding.resize(dim);
-  for (uint32_t i = 0; i < dim; ++i) r->GetF32(&result.embedding[i]);
+  r->GetF32s(result.embedding.data(), dim);
   return result;
 }
 
@@ -105,36 +79,27 @@ void EncodeClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  reader_.Reset();
 }
 
-StatusOr<std::string> EncodeClient::RoundTrip(const std::string& payload) {
+StatusOr<wire::Reader> EncodeClient::RoundTrip(const std::string& payload) {
   if (fd_ < 0) return Status::Unavailable("client not connected");
-  std::string frame;
-  frame.reserve(4 + payload.size());
-  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  if (!WriteFull(fd_, frame.data(), frame.size())) {
+  if (!wire::SendFrame(fd_, payload)) {
     Close();
     return Status::Unavailable("connection lost while sending request");
   }
-  char header[4];
-  if (!ReadFull(fd_, header, sizeof(header))) {
-    Close();
+  using Result = wire::FrameReader::Result;
+  std::string_view reply;
+  const Result got = reader_.Next(fd_, &reply);
+  if (got == Result::kFrame) return wire::Reader(reply.data(), reply.size());
+  Close();
+  if (got == Result::kClosed) {
     return Status::Unavailable("connection closed by server");
   }
-  wire::Reader hr(header, sizeof(header));
-  uint32_t reply_len = 0;
-  hr.GetU32(&reply_len);
-  if (reply_len == 0 || reply_len > wire::kMaxFrameBytes) {
-    Close();
-    return Status::Unavailable("bad reply frame length");
-  }
-  std::string reply(reply_len, '\0');
-  if (!ReadFull(fd_, reply.data(), reply_len)) {
-    Close();
+  if (got == Result::kTruncated) {
     return Status::Unavailable("connection lost mid-reply");
   }
-  return reply;
+  return Status::Unavailable("bad reply frame length");
 }
 
 StatusOr<WireEncodeResult> EncodeClient::Encode(
@@ -146,8 +111,7 @@ StatusOr<WireEncodeResult> EncodeClient::Encode(
   wire::PutString(&payload, sql);
   auto reply = RoundTrip(payload);
   if (!reply.ok()) return reply.status();
-  wire::Reader r(reply.value());
-  return ParseResultSlot(&r);
+  return ParseResultSlot(&reply.value());
 }
 
 std::vector<StatusOr<WireEncodeResult>> EncodeClient::EncodeBatch(
@@ -164,7 +128,7 @@ std::vector<StatusOr<WireEncodeResult>> EncodeClient::EncodeBatch(
     out.assign(sqls.size(), reply.status());
     return out;
   }
-  wire::Reader r(reply.value());
+  wire::Reader& r = reply.value();
   uint8_t code = 0;
   uint32_t count = 0;
   if (!r.GetU8(&code)) {
@@ -196,7 +160,7 @@ StatusOr<std::string> EncodeClient::Metrics() {
   wire::PutU8(&payload, wire::kMetrics);
   auto reply = RoundTrip(payload);
   if (!reply.ok()) return reply.status();
-  wire::Reader r(reply.value());
+  wire::Reader& r = reply.value();
   uint8_t code = 0;
   if (!r.GetU8(&code)) return Status::Unavailable("torn metrics reply");
   std::string text;
@@ -214,7 +178,7 @@ Status EncodeClient::ReloadModel(const std::string& tenant_id,
   wire::PutString(&payload, path);
   auto reply = RoundTrip(payload);
   if (!reply.ok()) return reply.status();
-  wire::Reader r(reply.value());
+  wire::Reader& r = reply.value();
   uint8_t code = 0;
   if (!r.GetU8(&code)) return Status::Unavailable("torn reload reply");
   if (code == 0) return Status::Ok();

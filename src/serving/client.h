@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "serving/wire.h"
 
 namespace preqr::serving {
 
@@ -67,10 +68,12 @@ class EncodeClient {
   Status ReloadModel(const std::string& tenant_id, const std::string& path);
 
  private:
-  // Sends one framed request payload and reads one framed reply.
-  StatusOr<std::string> RoundTrip(const std::string& payload);
+  // Sends one framed request payload and reads one framed reply. The
+  // reader views reader_'s buffer, valid until the next round trip.
+  StatusOr<wire::Reader> RoundTrip(const std::string& payload);
 
   int fd_ = -1;
+  wire::FrameReader reader_{wire::kRecvBufferBytes};
 };
 
 }  // namespace preqr::serving

@@ -15,43 +15,6 @@
 namespace preqr::serving {
 namespace {
 
-// recv exactly n bytes. Returns 1 on success, 0 on clean EOF at the first
-// byte (the client closed between frames), -1 on error/mid-frame EOF.
-int ReadFull(int fd, char* buf, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r == 0) return got == 0 ? 0 : -1;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return 1;
-}
-
-bool WriteFull(int fd, const char* buf, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool WriteFrame(int fd, const std::string& payload) {
-  std::string frame;
-  frame.reserve(4 + payload.size());
-  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  return WriteFull(fd, frame.data(), frame.size());
-}
-
 void AppendError(std::string* reply, const Status& status) {
   wire::PutU8(reply, static_cast<uint8_t>(status.code()));
   wire::PutString(reply, status.message());
@@ -59,13 +22,14 @@ void AppendError(std::string* reply, const Status& status) {
 
 // Ok slot body shared by kEncode and kEncodeBatch replies.
 void AppendResponse(std::string* reply, const EncodeResponse& response) {
+  const auto& vec = response.embedding.vec();
+  reply->reserve(reply->size() + 1 + 1 + 8 + 8 + 4 + 4 * vec.size());
   wire::PutU8(reply, 0);
   wire::PutU8(reply, response.cache_hit ? wire::kFlagCacheHit : 0);
   wire::PutF64(reply, response.queue_us);
   wire::PutF64(reply, response.encode_us);
-  const auto& vec = response.embedding.vec();
   wire::PutU32(reply, static_cast<uint32_t>(vec.size()));
-  for (float f : vec) wire::PutF32(reply, f);
+  wire::PutF32s(reply, vec.data(), vec.size());
 }
 
 // The request header shared by kEncode and kEncodeBatch: tenant routing,
@@ -189,27 +153,23 @@ void EncodeServer::AcceptLoop() {
 
 void EncodeServer::ServeConnection(Connection* conn) {
   const int fd = conn->fd;
-  std::string payload;
+  wire::FrameReader reader(wire::kRecvBufferBytes);
+  std::string_view payload;
   while (!stopping_.load()) {
-    char header[4];
-    const int r = ReadFull(fd, header, sizeof(header));
-    if (r <= 0) break;  // clean close, peer error, or Stop()'s shutdown
-    wire::Reader hr(header, sizeof(header));
-    uint32_t frame_len = 0;
-    hr.GetU32(&frame_len);
-    if (frame_len == 0 || frame_len > wire::kMaxFrameBytes) {
+    const auto got = reader.Next(fd, &payload);
+    if (got == wire::FrameReader::Result::kBadLength) {
       // Cannot resync a corrupt stream: answer and hang up.
       service_->metrics().net_bad_frames.Increment();
       std::string reply;
       AppendError(&reply,
                   Status::InvalidArgument("frame length out of bounds"));
-      WriteFrame(fd, reply);
+      wire::SendFrame(fd, reply);
       break;
     }
-    payload.resize(frame_len);
-    if (ReadFull(fd, payload.data(), frame_len) != 1) break;
+    // Clean close, peer error, EOF mid-frame, or Stop()'s shutdown.
+    if (got != wire::FrameReader::Result::kFrame) break;
     service_->metrics().net_requests.Increment();
-    if (!WriteFrame(fd, HandleFrame(payload))) break;
+    if (!wire::SendFrame(fd, HandleFrame(payload))) break;
   }
   // Actually hang up: the fd itself is closed later (by the reaper or
   // Stop), but the peer must see EOF now, not at the next accept.
@@ -217,9 +177,9 @@ void EncodeServer::ServeConnection(Connection* conn) {
   conn->done.store(true);
 }
 
-std::string EncodeServer::HandleFrame(const std::string& payload) {
+std::string EncodeServer::HandleFrame(std::string_view payload) {
   std::string reply;
-  wire::Reader r(payload);
+  wire::Reader r(payload.data(), payload.size());
   uint8_t version = 0;
   if (!r.GetU8(&version)) {
     service_->metrics().net_bad_frames.Increment();

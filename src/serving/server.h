@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -65,7 +66,7 @@ class EncodeServer {
   void AcceptLoop();
   void ServeConnection(Connection* conn);
   // Parses one request payload and renders the reply payload.
-  std::string HandleFrame(const std::string& payload);
+  std::string HandleFrame(std::string_view payload);
   // Joins finished connection threads (called from the accept loop).
   void ReapConnections();
 

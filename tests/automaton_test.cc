@@ -157,15 +157,23 @@ TEST(FaTest, Q1AndQ3ShareStatePrefix) {
 }
 
 TEST(TemplateDistanceTest, IdenticalStructureIsZero) {
-  auto a = NormalizeForTemplate("SELECT a FROM t WHERE b = 1");
-  auto b = NormalizeForTemplate("SELECT x FROM y WHERE z = 99");
+  auto a = NormalizeForTemplate("SELECT a FROM t WHERE b = 1").value();
+  auto b = NormalizeForTemplate("SELECT x FROM y WHERE z = 99").value();
   EXPECT_NEAR(TemplateDistance(a, b), 0.0, 1e-9);
 }
 
 TEST(TemplateDistanceTest, DifferentStructureIsPositive) {
-  auto a = NormalizeForTemplate(kQ1);
-  auto b = NormalizeForTemplate(kQ2);
+  auto a = NormalizeForTemplate(kQ1).value();
+  auto b = NormalizeForTemplate(kQ2).value();
   EXPECT_GT(TemplateDistance(a, b), 0.1);
+}
+
+TEST(TemplateDistanceTest, UnlexableSqlIsAStatusNotEmptyClauses) {
+  auto got = NormalizeForTemplate("SELECT 'unterminated FROM t");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(got.status().message().find("does not lex"), std::string::npos)
+      << got.status().message();
 }
 
 TEST(TemplateExtractorTest, GroupsByStructure) {

@@ -95,14 +95,18 @@ TEST(FuzzCorpusTest, CorpusIsNotEmpty) {
 TEST(FuzzCorpusTest, EveryEntryRunsTheFullFrontDoorWithoutCrashing) {
   for (const auto& e : LoadCorpus()) {
     auto lexed = sql::Lex(e.sql);
+    const auto norm = automaton::NormalizeForTemplate(e.sql);
     if (lexed.ok()) {
       const auto symbols = automaton::StructuralSymbols(lexed.value());
       EXPECT_EQ(symbols.size(), lexed.value().size()) << e.name;
+      ASSERT_TRUE(norm.ok()) << e.name << ": " << norm.status().ToString();
+      (void)automaton::TemplateDistance(norm.value(), norm.value());
     } else {
       EXPECT_FALSE(lexed.status().message().empty()) << e.name;
+      // The normalizer refuses the same input with a Status.
+      ASSERT_FALSE(norm.ok()) << e.name;
+      EXPECT_EQ(norm.status().code(), StatusCode::kInvalidArgument) << e.name;
     }
-    const auto norm = automaton::NormalizeForTemplate(e.sql);
-    (void)automaton::TemplateDistance(norm, norm);
     (void)sql::Parse(e.sql);
     (void)E().tokenizer->Tokenize(e.sql);
   }

@@ -213,7 +213,9 @@ TEST(FuzzFrontDoorTest, TenThousandQueriesNeverCrashThePipeline) {
         const auto match = E().fa.Match(symbols);
         ASSERT_EQ(match.states.size(), symbols.size()) << c.Describe();
         const auto norm = automaton::NormalizeForTemplate(c.sql);
-        const double self = automaton::TemplateDistance(norm, norm);
+        ASSERT_TRUE(norm.ok()) << norm.status().ToString() << c.Describe();
+        const double self =
+            automaton::TemplateDistance(norm.value(), norm.value());
         ASSERT_GE(self, 0.0) << c.Describe();
         ASSERT_LE(self, 1.0) << c.Describe();
       }

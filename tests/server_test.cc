@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -243,6 +244,9 @@ class RawConn {
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
+    // Every send leaves as its own segment.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
   ~RawConn() {
     if (fd_ >= 0) ::close(fd_);
@@ -251,16 +255,22 @@ class RawConn {
     ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), 0),
               static_cast<ssize_t>(bytes.size()));
   }
-  // Reads one framed reply; returns the leading status byte or -1 on EOF.
-  int ReadReplyCode() {
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+  // Reads one framed reply payload; false on EOF or a bad length.
+  bool ReadReply(std::string* body) {
     std::string header(4, '\0');
-    if (!ReadFull(header.data(), 4)) return -1;
+    if (!ReadFull(header.data(), 4)) return false;
     wire::Reader hr(header.data(), 4);
     uint32_t len = 0;
     hr.GetU32(&len);
-    if (len == 0 || len > wire::kMaxFrameBytes) return -1;
-    std::string body(len, '\0');
-    if (!ReadFull(body.data(), len)) return -1;
+    if (len == 0 || len > wire::kMaxFrameBytes) return false;
+    body->assign(len, '\0');
+    return ReadFull(body->data(), len);
+  }
+  // Reads one framed reply; returns the leading status byte or -1 on EOF.
+  int ReadReplyCode() {
+    std::string body;
+    if (!ReadReply(&body)) return -1;
     return static_cast<unsigned char>(body[0]);
   }
   bool PeerClosed() {
@@ -280,6 +290,103 @@ class RawConn {
   }
   int fd_ = -1;
 };
+
+// A v2 kEncode request frame for `sql` (default tenant, no deadline).
+std::string EncodeFrame(const std::string& sql) {
+  std::string payload;
+  wire::PutU8(&payload, wire::kProtocolVersion);
+  wire::PutU8(&payload, wire::kEncode);
+  wire::PutString(&payload, "");  // tenant id
+  wire::PutString(&payload, "");  // client id
+  wire::PutU32(&payload, 0);      // priority
+  wire::PutI64(&payload, -1);     // no deadline
+  wire::PutString(&payload, sql);
+  std::string frame;
+  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  frame.append(payload);
+  return frame;
+}
+
+// The embedding of an ok kEncode reply payload.
+std::vector<float> ReplyEmbedding(const std::string& body) {
+  wire::Reader r(body);
+  uint8_t code = 1, flags = 0;
+  double queue_us = 0, encode_us = 0;
+  uint32_t dim = 0;
+  EXPECT_TRUE(r.GetU8(&code) && r.GetU8(&flags) && r.GetF64(&queue_us) &&
+              r.GetF64(&encode_us) && r.GetU32(&dim));
+  EXPECT_EQ(code, 0);
+  std::vector<float> out(dim);
+  EXPECT_TRUE(r.GetF32s(out.data(), dim));
+  EXPECT_EQ(r.remaining(), 0u);
+  return out;
+}
+
+TEST(EncodeServerTest, FrameSentOneBytePerSendIsAnswered) {
+  Loopback lb;
+  tasks::PreqrEncoder reference(&lb.model);
+  RawConn raw(lb.server.port());
+  const std::string frame = EncodeFrame(E().corpus[0]);
+  for (char c : frame) raw.Send(std::string(1, c));
+  std::string body;
+  ASSERT_TRUE(raw.ReadReply(&body));
+  ExpectBitwiseEqual(
+      reference.EncodeVector(E().corpus[0], /*train=*/false).vec(),
+      ReplyEmbedding(body), "byte-per-send frame");
+}
+
+TEST(EncodeServerTest, TwoRequestsInOneSendAnsweredInOrder) {
+  Loopback lb;
+  // References first: the server may still be encoding the second frame
+  // while the first reply is read, and both share the model.
+  tasks::PreqrEncoder reference(&lb.model);
+  const std::vector<float> want[] = {
+      reference.EncodeVector(E().corpus[1], /*train=*/false).vec(),
+      reference.EncodeVector(E().corpus[2], /*train=*/false).vec()};
+  RawConn raw(lb.server.port());
+  raw.Send(EncodeFrame(E().corpus[1]) + EncodeFrame(E().corpus[2]));
+  for (const auto& expected : want) {
+    std::string body;
+    ASSERT_TRUE(raw.ReadReply(&body));
+    ExpectBitwiseEqual(expected, ReplyEmbedding(body), "pipelined frame");
+  }
+  EXPECT_EQ(lb.service.metrics().net_requests.value(), 2u);
+}
+
+TEST(EncodeServerTest, BatchFrameLargerThanReceiveBufferIsAnswered) {
+  Loopback lb;
+  tasks::PreqrEncoder reference(&lb.model);
+  // Distinct SQL padded with trailing blanks until the request frame
+  // outgrows the connection's initial receive buffer.
+  std::vector<std::string> sqls;
+  size_t bytes = 0;
+  for (size_t i = 0; bytes <= wire::kRecvBufferBytes; ++i) {
+    sqls.push_back(E().corpus[i % E().corpus.size()] +
+                   std::string(4096 + i, ' '));
+    bytes += sqls.back().size();
+  }
+  const auto slots = lb.client.EncodeBatch(sqls);
+  ASSERT_EQ(slots.size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    ASSERT_TRUE(slots[i].ok()) << slots[i].status().ToString();
+    ExpectBitwiseEqual(reference.EncodeVector(sqls[i], /*train=*/false).vec(),
+                       slots[i].value().embedding, "large batch slot");
+  }
+  // The same connection keeps serving ordinary frames.
+  EXPECT_TRUE(lb.client.Encode(E().corpus[0]).ok());
+}
+
+TEST(EncodeServerTest, EofInTheMiddleOfAFrameClosesTheConnection) {
+  Loopback lb;
+  RawConn raw(lb.server.port());
+  const std::string frame = EncodeFrame(E().corpus[0]);
+  raw.Send(frame.substr(0, frame.size() / 2));
+  raw.ShutdownWrite();
+  // No reply: the server hangs up without serving the torn frame.
+  EXPECT_TRUE(raw.PeerClosed());
+  EXPECT_EQ(lb.service.metrics().net_requests.value(), 0u);
+  EXPECT_TRUE(lb.client.Encode(E().corpus[0]).ok());
+}
 
 TEST(EncodeServerTest, HostileFramesGetInvalidArgumentNotACrash) {
   Loopback lb;

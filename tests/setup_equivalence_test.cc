@@ -382,7 +382,7 @@ TEST(SetupEquivalenceTest, TemplateDistanceIsSymmetricBitForBit) {
     if (corpus.name == "mixed") continue;
     std::vector<NormalizedQuery> norms;
     for (const auto& q : corpus.queries) {
-      norms.push_back(automaton::NormalizeForTemplate(q));
+      norms.push_back(automaton::NormalizeForTemplate(q).value());
     }
     for (size_t i = 0; i < norms.size(); ++i) {
       for (size_t j = i; j < norms.size(); j += 7) {
@@ -538,6 +538,82 @@ TEST(SetupEquivalenceTest, NumericStatsMatchHashMapReference) {
     ExpectSameStatsAllSizes(FloatTable(v), "wide floats");
   }
   ExpectSameStatsAllSizes(IntTable({}), "empty");
+}
+
+// Integer columns are counted in one pass when max - min < rows and
+// otherwise sort their doubles, as float columns do. Both paths, on
+// sorted, reverse-sorted and shuffled input, must match the reference.
+TEST(SetupEquivalenceTest, IntStatsMatchReferenceOnEveryPath) {
+  Rng rng(13);
+  const auto shuffled = [&rng](std::vector<int64_t> v) {
+    for (size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[rng.NextUint64(i)]);
+    }
+    return v;
+  };
+  const size_t n = 600;
+  {
+    // max - min = n - 1 (counting) and max - min = n (sorting), with both
+    // end points present and duplicates in between.
+    for (int64_t range : {int64_t{n} - 1, int64_t{n}}) {
+      std::vector<int64_t> v = {0, range};
+      while (v.size() < n) v.push_back(rng.NextInt(0, range / 3));
+      ExpectSameStatsAllSizes(IntTable(shuffled(v)),
+                              "range " + std::to_string(range) + " of " +
+                                  std::to_string(n) + " rows");
+    }
+  }
+  {
+    // Negative ranges, dense and sparse.
+    std::vector<int64_t> dense, sparse;
+    for (size_t i = 0; i < n; ++i) {
+      dense.push_back(rng.NextInt(-5000, -4700));
+      sparse.push_back(rng.NextInt(-900000, -1));
+    }
+    ExpectSameStatsAllSizes(IntTable(dense), "dense negative");
+    ExpectSameStatsAllSizes(IntTable(sparse), "sparse negative");
+  }
+  {
+    // Sorted and reverse-sorted, dense and sparse, with runs of equals.
+    std::vector<int64_t> dense, sparse;
+    for (size_t i = 0; i < n; ++i) {
+      dense.push_back(static_cast<int64_t>(i / 3) - 40);
+      sparse.push_back(static_cast<int64_t>(i / 2) * 1009 - 70000);
+    }
+    ExpectSameStatsAllSizes(IntTable(dense), "sorted dense");
+    ExpectSameStatsAllSizes(IntTable(sparse), "sorted sparse");
+    std::reverse(dense.begin(), dense.end());
+    std::reverse(sparse.begin(), sparse.end());
+    ExpectSameStatsAllSizes(IntTable(dense), "reverse dense");
+    ExpectSameStatsAllSizes(IntTable(sparse), "reverse sparse");
+  }
+  {
+    // Near ±2^53, where distinct integers share a double and hence a key:
+    // their runs merge. (Keys stay inside int64 up to |v| ~ 9.2e15.)
+    const int64_t p53 = int64_t{1} << 53;
+    for (int64_t centre : {p53, -p53}) {
+      std::vector<int64_t> dense, sparse;
+      for (size_t i = 0; i < n; ++i) {
+        dense.push_back(centre + rng.NextInt(-100, 100));
+        sparse.push_back(centre + rng.NextInt(-100000, 100000) * 7);
+      }
+      ExpectSameStatsAllSizes(IntTable(dense), "dense near 2^53");
+      ExpectSameStatsAllSizes(IntTable(sparse), "sparse near 2^53");
+    }
+  }
+  {
+    // |v| ~ 1e13: v * 1000 is past 2^53. Integer keys stay exact there;
+    // fractional values a few ulps apart round to shared keys.
+    std::vector<int64_t> ints;
+    std::vector<double> floats;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t base = (i % 2 == 0 ? 1 : -1) * int64_t{10000000000000};
+      ints.push_back(base + rng.NextInt(-300, 300));
+      floats.push_back(static_cast<double>(base) + rng.NextInt(-30, 30) * 0.0004);
+    }
+    ExpectSameStatsAllSizes(IntTable(ints), "ints near 1e13");
+    ExpectSameStatsAllSizes(FloatTable(floats), "floats near 1e13");
+  }
 }
 
 TEST(SetupEquivalenceTest, StringStatsMatchHashMapReference) {
