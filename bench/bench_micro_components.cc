@@ -129,15 +129,12 @@ void EncodeForwardOnce(tasks::PreqrEncoder& encoder) {
 }
 
 void BM_EncodeNoGrad(benchmark::State& state) {
-  tasks::PreqrEncoder::Options options;
-  options.cache_capacity = 1;  // prefix re-encoded every iteration
-  options.cache_shards = 1;
-  tasks::PreqrEncoder encoder(S().model.get(), options);
+  tasks::PreqrEncoder encoder(S().model.get());
   encoder.InvalidateCache();
   const uint64_t impls0 = nn::TensorImplsCreated();
   const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
   for (auto _ : state) {
-    encoder.InvalidateCache();
+    encoder.InvalidateCache();  // prefix re-encoded every iteration
     EncodeForwardOnce(encoder);
   }
   const nn::BufferPoolStats pool1 = nn::BufferPool::TotalStats();
@@ -188,10 +185,7 @@ std::vector<std::string> BatchBenchQueries() {
 }
 
 void BM_EncodeLoop(benchmark::State& state) {
-  tasks::PreqrEncoder::Options options;
-  options.cache_capacity = 1;
-  options.cache_shards = 1;
-  tasks::PreqrEncoder encoder(S().model.get(), options);
+  tasks::PreqrEncoder encoder(S().model.get());
   const auto queries = BatchBenchQueries();
   const uint64_t impls0 = nn::TensorImplsCreated();
   const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
@@ -216,10 +210,7 @@ void BM_EncodeLoop(benchmark::State& state) {
 BENCHMARK(BM_EncodeLoop);
 
 void BM_EncodeBatch(benchmark::State& state) {
-  tasks::PreqrEncoder::Options options;
-  options.cache_capacity = 1;
-  options.cache_shards = 1;
-  tasks::PreqrEncoder encoder(S().model.get(), options);
+  tasks::PreqrEncoder encoder(S().model.get());
   const auto queries = BatchBenchQueries();
   const uint64_t impls0 = nn::TensorImplsCreated();
   const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
@@ -539,8 +530,6 @@ void EncodeNoGradImplBench(benchmark::State& state, const char* impl,
   }
   {
     tasks::PreqrEncoder::Options options;
-    options.cache_capacity = 1;
-    options.cache_shards = 1;
     options.use_int8 = use_int8;
     tasks::PreqrEncoder encoder(S().model.get(), options);
     for (auto _ : state) {

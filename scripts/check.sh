@@ -27,14 +27,15 @@ cmake --build build -j
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSAN stage skipped (SKIP_TSAN=1) =="
 else
-  echo "== TSAN: thread_pool, lru_cache, serving, determinism, batch_invariance, nn_ops_grad, fused_forward_parity, grad_mode, buffer_pool, checkpoint =="
+  echo "== TSAN: thread_pool, lru_cache, serving, schema_kv_memo, determinism, batch_invariance, nn_ops_grad, fused_forward_parity, grad_mode, buffer_pool, checkpoint =="
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target thread_pool_test \
     --target lru_cache_test --target serving_test \
     --target parallel_determinism_test --target batch_invariance_test \
     --target nn_ops_grad_test --target fused_forward_parity_test \
     --target grad_mode_test --target buffer_pool_test \
-    --target checkpoint_test --target checkpoint_resume_test
+    --target checkpoint_test --target checkpoint_resume_test \
+    --target schema_kv_memo_test
   # Force a multi-threaded pool so races are actually exercised even on
   # single-core CI machines; TSAN halts on the first detected race.
   export PREQR_NUM_THREADS=8
@@ -42,6 +43,10 @@ else
   ./build-tsan/tests/thread_pool_test
   ./build-tsan/tests/lru_cache_test
   ./build-tsan/tests/serving_test
+  # The encoder memos: fine-tuned encoders keep every frozen prefix,
+  # serving encoders (behind EncoderService's batcher thread) a query's
+  # prefix from its second miss on.
+  ./build-tsan/tests/schema_kv_memo_test
   ./build-tsan/tests/parallel_determinism_test
   ./build-tsan/tests/batch_invariance_test
   ./build-tsan/tests/nn_ops_grad_test \
@@ -73,6 +78,20 @@ else
     ./build-asan/tests/fuzz_regression_test
   ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
     ./build-asan/tests/fuzz_stress_test
+  # Two drill processes at once: each writes its reload donors into its own
+  # temp directory, so neither deletes a file the other is reading.
+  ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+    ./build-asan/tests/fuzz_stress_test --gtest_repeat=8 \
+    --gtest_filter='FuzzStressTest.*' >build-asan/fuzz_stress_1.log 2>&1 &
+  first=$!
+  ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+    ./build-asan/tests/fuzz_stress_test --gtest_repeat=8 \
+    --gtest_filter='FuzzStressTest.*' >build-asan/fuzz_stress_2.log 2>&1 &
+  second=$!
+  status=0
+  wait "$first" || { status=1; tail -n 40 build-asan/fuzz_stress_1.log; }
+  wait "$second" || { status=1; tail -n 40 build-asan/fuzz_stress_2.log; }
+  [[ $status -eq 0 ]]
   # The wire codec and the shared frame I/O: codec bytes against the
   # per-float loop, partial, pipelined, oversized and torn frames over a
   # socketpair and a live loopback server.

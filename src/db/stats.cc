@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstddef>
 #include <unordered_map>
 
@@ -27,10 +28,36 @@ void SortTopByFrequency(std::vector<std::pair<Key, size_t>>* counts,
                     });
 }
 
+// The MCV key of a numeric value v. Where v * 1000 fits in int64
+// (|v| < ~9.22e15) it is static_cast<int64_t>(v * 1000.0), held exactly as
+// a double (+0.0 for every v in (-0.001, 0.001)), in region 0. Past that
+// the cast would be undefined, and v's own spacing (at least 2) is far
+// coarser than the 0.001 quantum, so v is its own key, in region -1 below
+// the range and 1 above it. Keys never decrease as v grows (region first),
+// so equal keys are adjacent in ascending order; distinct values past the
+// range keep distinct keys, and each reads back as itself.
+struct McvKey {
+  int region = 0;
+  double key = 0.0;
+
+  explicit McvKey(double v) {
+    constexpr double kInt64Limit = 9223372036854775808.0;  // 2^63
+    const double scaled = v * 1000.0;
+    if (std::fabs(scaled) < kInt64Limit) {
+      key = static_cast<double>(static_cast<int64_t>(scaled));
+    } else {
+      region = v < 0 ? -1 : 1;
+      key = v;
+    }
+  }
+  // The MCV value this key reads back as.
+  double Value() const { return region == 0 ? key / 1000.0 : key; }
+  auto operator<=>(const McvKey&) const = default;
+};
+
 // Folds a numeric column's values, visited in ascending order as
 // (value, count) groups, into the distinct-key runs the MCVs come from and
-// the equi-depth histogram bounds. Values are quantized to the key
-// static_cast<int64_t>(v * 1000.0), which never decreases as v grows, so
+// the equi-depth histogram bounds. Values are quantized to McvKey(v), so
 // equal keys are adjacent and adjacent values sharing a key merge into one
 // run.
 class AscendingFold {
@@ -41,7 +68,7 @@ class AscendingFold {
   }
 
   void Add(double v, size_t count) {
-    const auto key = static_cast<int64_t>(v * 1000.0);
+    const McvKey key(v);
     if (runs_.empty() || runs_.back().first != key) runs_.emplace_back(key, 0);
     runs_.back().second += count;
     seen_ += count;
@@ -53,7 +80,7 @@ class AscendingFold {
     }
   }
 
-  std::vector<std::pair<int64_t, size_t>>& runs() { return runs_; }
+  std::vector<std::pair<McvKey, size_t>>& runs() { return runs_; }
 
  private:
   size_t BoundIndex(int b) const {
@@ -65,7 +92,7 @@ class AscendingFold {
   size_t rows_;
   int num_buckets_;
   ColumnStats* stats_;
-  std::vector<std::pair<int64_t, size_t>> runs_;
+  std::vector<std::pair<McvKey, size_t>> runs_;
   size_t seen_ = 0;
   int next_bound_ = 0;
 };
@@ -216,7 +243,7 @@ ColumnStats StatsCollector::AnalyzeColumn(const Column& column) const {
   SortTopByFrequency(&runs, k);
   for (size_t i = 0; i < k; ++i) {
     stats.mcv_numeric.emplace_back(
-        static_cast<double>(runs[i].first) / 1000.0,
+        runs[i].first.Value(),
         static_cast<double>(runs[i].second) /
             static_cast<double>(column.size()));
   }

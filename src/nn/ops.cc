@@ -1006,7 +1006,10 @@ Tensor Attention(const Tensor& q, const Tensor& keys, const Tensor& values,
           scores = probs->data() +
                    ((static_cast<size_t>(h) * bsz + b) * t + i0) * lds;
         } else {
-          lds = static_cast<size_t>(width);
+          // Rows padded to 16 floats (64 bytes): a width-35 stride would
+          // start most rows mid cache line. A row's bits do not depend on
+          // its stride, and the pad columns are never read.
+          lds = (static_cast<size_t>(width) + 15) & ~size_t{15};
           score_scratch.assign(static_cast<size_t>(rows) * lds, 0.0f);
           scores = score_scratch.data();
         }

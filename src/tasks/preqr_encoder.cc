@@ -1,6 +1,7 @@
 #include "tasks/preqr_encoder.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +19,7 @@ PreqrEncoder::PreqrEncoder(core::PreqrModel* model)
 PreqrEncoder::PreqrEncoder(core::PreqrModel* model, Options options)
     : model_(model),
       use_int8_(options.use_int8),
+      recent_misses_(options.cache_capacity),
       prefix_cache_(options.cache_capacity, options.cache_shards) {
   // Calibrate before anything encodes: shadows are inert until a thread
   // installs an Int8Guard, so the schema encoding below stays float.
@@ -28,7 +30,7 @@ PreqrEncoder::PreqrEncoder(core::PreqrModel* model, Options options)
 void PreqrEncoder::BeginStep(bool train) {
   // The schema branch is below the fine-tuned layer boundary, so it stays
   // frozen; only the last layer's memo and shadows can go stale.
-  if (train) last_layer_stale_ = true;
+  if (train) last_layer_stale_ = fine_tuned_ = true;
 }
 
 void PreqrEncoder::InvalidateCache() {
@@ -60,7 +62,7 @@ void PreqrEncoder::ProjectSchemaKv() {
 
 void PreqrEncoder::PrepareLastLayer(bool train) {
   if (train) {
-    last_layer_stale_ = true;
+    last_layer_stale_ = fine_tuned_ = true;
   } else if (last_layer_stale_) {
     // The frozen layers re-project to the same bits; only the last moved.
     if (use_int8_) nn::quant::CalibrateModule(model_->last_layer());
@@ -179,6 +181,13 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
   }
 }
 
+bool PreqrEncoder::RepeatMiss(const std::string& sql) {
+  const uint64_t h = std::hash<std::string>{}(sql);
+  const uint64_t tag = h | 1;  // never 0, the empty-slot mark
+  return recent_misses_[h % recent_misses_.size()].exchange(
+             tag, std::memory_order_relaxed) == tag;
+}
+
 std::vector<StatusOr<PreqrEncoder::CachedQuery>> PreqrEncoder::Lookup(
     const std::vector<std::string>& sqls) {
   const size_t n = sqls.size();
@@ -203,9 +212,12 @@ std::vector<StatusOr<PreqrEncoder::CachedQuery>> PreqrEncoder::Lookup(
   std::vector<CachedQuery> computed;
   std::vector<Status> miss_status;
   ComputeQueriesBatched(miss_sqls, &computed, &miss_status);
-  // Serial cache insertion in first-occurrence order.
+  // Serial cache insertion in first-occurrence order: every prefix once the
+  // encoder has fine-tuned, before that only a repeat miss's.
   for (size_t m = 0; m < miss_sqls.size(); ++m) {
-    if (miss_status[m].ok()) prefix_cache_.Put(miss_sqls[m], computed[m]);
+    if (miss_status[m].ok() && (fine_tuned_ || RepeatMiss(miss_sqls[m]))) {
+      prefix_cache_.Put(miss_sqls[m], computed[m]);
+    }
   }
   std::vector<StatusOr<CachedQuery>> out;
   out.reserve(n);

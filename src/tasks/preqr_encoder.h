@@ -1,6 +1,8 @@
 #ifndef PREQR_TASKS_PREQR_ENCODER_H_
 #define PREQR_TASKS_PREQR_ENCODER_H_
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,22 @@ namespace preqr::tasks {
 // Adapts a pre-trained PreqrModel to the downstream encoder interfaces.
 // Fine-tuning follows the paper: only the *last* SQLBERT (Trm_g) layer
 // trains together with the task head; everything below is frozen, so the
-// frozen prefix of each query is computed once and cached in a sharded,
-// size-bounded LRU (a frequent-query workload keeps re-visiting the same
-// statements, so a bounded cache captures the hits without growing with
-// the query log).
+// frozen prefix of each query is computed once per fine-tuning run instead
+// of once per epoch.
+//
+// Two memos live here. The schema keys/values (schema_kv_) are built at
+// construction and on every InvalidateCache, and re-projected after
+// fine-tuning moves the last layer. The frozen-prefix memo (prefix_cache_,
+// a sharded, size-bounded LRU of [S, d] prefixes plus span structure)
+// keeps every miss once the encoder has fine-tuned, i.e. after a
+// train-mode encode or BeginStep(true): that serves later epochs,
+// validation and a planner's repeated estimates. Before that (every
+// serving tenant) it keeps a query's prefix only from the query's second
+// miss on. The callers of such an encoder cache final embeddings
+// (EncoderService's result cache) and answer most repeats themselves, so
+// a stream of distinct queries stores no prefixes, while a query their
+// cache evicted and sends again reads its prefix from here. Either way the
+// encoded bits are the same; only the time to produce them differs.
 class PreqrEncoder : public baselines::QueryEncoder,
                      public baselines::SequenceEncoder {
  public:
@@ -100,9 +114,14 @@ class PreqrEncoder : public baselines::QueryEncoder,
   };
   // Cache-through lookup for a batch: hits come from the prefix cache,
   // distinct misses are computed by ComputeQueriesBatched and inserted in
-  // first-occurrence order; malformed queries carry their parse error.
+  // first-occurrence order (see the class comment for which are kept);
+  // malformed queries carry their parse error.
   std::vector<StatusOr<CachedQuery>> Lookup(
       const std::vector<std::string>& sqls);
+  // Records a never-tuned encoder's miss of `sql` in recent_misses_ and
+  // returns whether its slot held `sql` already, i.e. whether it missed
+  // before.
+  bool RepeatMiss(const std::string& sql);
   // Span/table structure from the automaton symbolization over the first
   // `s` (possibly clipped) token positions.
   static void ExtractStructure(const text::SqlTokenizer::Tokenized& tokenized,
@@ -154,6 +173,16 @@ class PreqrEncoder : public baselines::QueryEncoder,
   // layer's weights may have moved since its memo and int8 shadows were
   // built.
   bool last_layer_stale_ = false;
+  // Set by the same calls, never cleared (InvalidateCache included): the
+  // encoder fine-tunes, so prefix_cache_ keeps every prefix it computes.
+  // Same threading contract as last_layer_stale_.
+  bool fine_tuned_ = false;
+  // Before that, the queries that missed: one hash tag per slot (slot =
+  // hash % size, 0 = empty), as many slots as prefix_cache_ has entries,
+  // kept across InvalidateCache since it records traffic, not weights. A
+  // slot collision only loses or grants one admission, never a bit.
+  // Atomic slots, so concurrent encodes may record misses.
+  std::vector<std::atomic<uint64_t>> recent_misses_;
   ShardedLruCache<std::string, CachedQuery> prefix_cache_;
 };
 

@@ -20,6 +20,7 @@
 #include "tasks/preqr_encoder.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::core {
 namespace {
@@ -99,7 +100,7 @@ Pretrainer::Options BaseOptions() {
 }
 
 TEST(CheckpointResumeTest, BitwiseResumeMatchesUninterruptedRun) {
-  const std::string path = testing::TempDir() + "/resume_drill.ckpt";
+  const std::string path = test::TempPath("resume_drill.ckpt");
 
   // Run A: the reference — 2 epochs, never interrupted.
   PreqrModel model_a = E().MakeModel();
@@ -155,7 +156,7 @@ TEST(CheckpointResumeTest, BitwiseResumeMatchesUninterruptedRun) {
 }
 
 TEST(CheckpointResumeTest, ResumeRejectsCorruptFileWithoutTouchingState) {
-  const std::string path = testing::TempDir() + "/resume_corrupt.ckpt";
+  const std::string path = test::TempPath("resume_corrupt.ckpt");
   PreqrModel model = E().MakeModel();
   Pretrainer::Options opt = BaseOptions();
   opt.epochs = 1;
@@ -182,7 +183,7 @@ TEST(CheckpointResumeTest, ResumeRejectsCorruptFileWithoutTouchingState) {
 }
 
 TEST(CheckpointResumeTest, PeriodicCheckpointsAreCompleteFiles) {
-  const std::string path = testing::TempDir() + "/resume_periodic.ckpt";
+  const std::string path = test::TempPath("resume_periodic.ckpt");
   PreqrModel model = E().MakeModel();
   Pretrainer::Options opt = BaseOptions();
   opt.epochs = 1;
@@ -212,7 +213,7 @@ TEST(CheckpointResumeTest, PeriodicCheckpointsAreCompleteFiles) {
 }
 
 TEST(CheckpointResumeTest, ServingHotReloadSwapsWeightsAndDropsCache) {
-  const std::string path = testing::TempDir() + "/serving_reload.ckpt";
+  const std::string path = test::TempPath("serving_reload.ckpt");
 
   // The updated model: a short pre-training pass, checkpointed to disk.
   PreqrModel updated = E().MakeModel();

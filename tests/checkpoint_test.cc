@@ -21,13 +21,12 @@
 
 #include "nn/module.h"
 #include "nn/serialize.h"
+#include "test_temp_dir.h"
 
 namespace preqr::nn {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using test::TempPath;
 
 std::string ReadAll(const std::string& path) {
   std::string bytes;

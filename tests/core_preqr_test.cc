@@ -8,6 +8,7 @@
 #include "tasks/preqr_encoder.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::core {
 namespace {
@@ -164,7 +165,7 @@ TEST(PreqrModelTest, EncodeConvenience) {
 TEST(PreqrModelTest, SaveLoadRoundTrip) {
   PreqrModel a = E().MakeModel();
   PreqrModel b = E().MakeModel();
-  const std::string path = testing::TempDir() + "/preqr_model.bin";
+  const std::string path = test::TempPath("preqr_model.bin");
   ASSERT_TRUE(nn::SaveModule(a, path).ok());
   ASSERT_TRUE(nn::LoadModule(b, path).ok());
   tasks::PreqrEncoder enc_a(&a);

@@ -14,7 +14,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "text/tokenizer.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::workload {
 namespace {
@@ -542,6 +546,47 @@ TEST(FuzzKernelPathTest, CorpusAndFuzzStreamAgreeAcrossKernelPaths) {
 
 // --- The concurrent stress drill ------------------------------------------
 
+// The drills' invariant violations, counted per invariant with the first
+// offending Status (or detail) of each, so a failing drill names what
+// broke instead of reporting a bare total.
+class InvariantLog {
+ public:
+  void Violate(const std::string& invariant, const std::string& detail) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& entry = by_invariant_[invariant];
+    if (entry.count++ == 0) entry.first = detail;
+  }
+  void Violate(const std::string& invariant, const Status& status) {
+    Violate(invariant, status.ToString());
+  }
+
+  int total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    int n = 0;
+    for (const auto& [name, entry] : by_invariant_) n += entry.count;
+    return n;
+  }
+
+  // One line per broken invariant: "<invariant>: <count> (first: <detail>)".
+  std::string Report() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::string out;
+    for (const auto& [name, entry] : by_invariant_) {
+      out += name + ": " + std::to_string(entry.count) +
+             " (first: " + entry.first + ")\n";
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    int count = 0;
+    std::string first;
+  };
+  mutable std::mutex mu_;
+  std::map<std::string, Entry> by_invariant_;
+};
+
 // Mixed valid/mutated streams fired at EncoderService from 4 threads while
 // a fifth hot-reloads the model (including failing reloads) and a sixth
 // invalidates the cache. Invariants: no crash, every failure is a Status,
@@ -555,7 +600,7 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
   service.AttachModel(&model);
 
   // A reload source: the same architecture with different weights.
-  const std::string path = testing::TempDir() + "/fuzz_reload.prm1";
+  const std::string path = test::TempPath("fuzz_reload.prm1");
   {
     auto donor = E().MakeModel();
     ASSERT_TRUE(nn::SaveModule(donor, path).ok());
@@ -566,7 +611,7 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
   std::atomic<uint64_t> issued{0};
   std::atomic<uint64_t> ok_results{0};
   std::atomic<uint64_t> error_results{0};
-  std::atomic<int> invariant_violations{0};
+  InvariantLog violations;
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> threads;
@@ -586,13 +631,16 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
           for (const auto& r : results) {
             r.ok() ? ++ok_results : ++error_results;
             if (!r.ok()) {
-              if (r.status().message().empty()) ++invariant_violations;
+              if (r.status().message().empty()) {
+                violations.Violate("batch error has a message", r.status());
+              }
               // The drill configures no deadlines and never fills the
               // ring, so the only legal failures are input rejections —
               // a shed/deadline/unavailable code here is a mis-coding.
               if (r.status().code() != StatusCode::kParseError &&
                   r.status().code() != StatusCode::kInvalidArgument) {
-                ++invariant_violations;
+                violations.Violate("batch error is an input rejection",
+                                   r.status());
               }
             }
           }
@@ -603,14 +651,21 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
         result.ok() ? ++ok_results : ++error_results;
         if (result.ok()) {
           if (static_cast<int>(result.value().size()) != service.dim()) {
-            ++invariant_violations;
+            violations.Violate("embedding has the service dim",
+                               std::to_string(result.value().size()));
           }
         } else {
-          if (result.status().message().empty()) ++invariant_violations;
-          if (c.from_grammar) ++invariant_violations;  // valid must encode
+          if (result.status().message().empty()) {
+            violations.Violate("error has a message", result.status());
+          }
+          if (c.from_grammar) {
+            violations.Violate("grammar-valid SQL encodes", result.status());
+          }
           if (result.status().code() != StatusCode::kParseError &&
               result.status().code() != StatusCode::kInvalidArgument) {
-            ++invariant_violations;  // exact canonical code or bust
+            // exact canonical code or bust
+            violations.Violate("error is an input rejection",
+                               result.status());
           }
         }
       }
@@ -620,10 +675,11 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
     int reloads = 0;
     while (!stop.load() && reloads < 64) {
       Status s = service.ReloadModel(path);
-      if (!s.ok()) ++invariant_violations;  // the file is always loadable
+      // The file is always loadable.
+      if (!s.ok()) violations.Violate("good reload succeeds", s);
       // A failing reload must leave serving untouched.
       Status bad = service.ReloadModel("/nonexistent/fuzz.prc1");
-      if (bad.ok()) ++invariant_violations;
+      if (bad.ok()) violations.Violate("missing-file reload fails", bad);
       ++reloads;
       std::this_thread::yield();
     }
@@ -639,7 +695,7 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
   reloader.join();
   invalidator.join();
 
-  EXPECT_EQ(invariant_violations.load(), 0);
+  EXPECT_EQ(violations.total(), 0) << violations.Report();
   // Every third iteration issues a 2-query batch instead of one encode, so
   // the issued total exceeds the iteration count; what must hold exactly is
   // the issued-vs-metrics accounting below.
@@ -707,8 +763,8 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   const int expected_dim = enc_a.dim();
 
   // Per-tenant reload donors: same architecture, fresh weights.
-  const std::string path_a = testing::TempDir() + "/fuzz_tenant_a.prm1";
-  const std::string path_b = testing::TempDir() + "/fuzz_tenant_b.prm1";
+  const std::string path_a = test::TempPath("fuzz_tenant_a.prm1");
+  const std::string path_b = test::TempPath("fuzz_tenant_b.prm1");
   {
     auto donor_a = make_model(41);
     auto donor_b = make_model(42);
@@ -721,7 +777,7 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   std::atomic<uint64_t> ok_results{0};
   std::atomic<uint64_t> error_results{0};      // kParseError / kInvalidArgument
   std::atomic<uint64_t> not_found_results{0};  // churn-tenant kNotFound only
-  std::atomic<int> invariant_violations{0};
+  InvariantLog violations;
   std::atomic<bool> stop{false};
 
   auto account = [&](const StatusOr<serving::EncodeResponse>& r,
@@ -729,18 +785,27 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
                      bool from_grammar) {
     if (r.ok()) {
       ++ok_results;
-      if (r.value().tenant_id != tenant) ++invariant_violations;
+      if (r.value().tenant_id != tenant) {
+        violations.Violate("response names its tenant",
+                           tenant + " got " + r.value().tenant_id);
+      }
       if (static_cast<int>(r.value().embedding.size()) != expected_dim) {
-        ++invariant_violations;
+        violations.Violate("embedding has the tenant dim",
+                           std::to_string(r.value().embedding.size()));
       }
       return;
     }
-    if (r.status().message().empty()) ++invariant_violations;
+    if (r.status().message().empty()) {
+      violations.Violate("error has a message", r.status());
+    }
     if (r.status().code() == StatusCode::kNotFound) {
       // Only the churn tenant may be mid-deregistration; a kNotFound for a
       // steady tenant is an isolation breach.
       ++not_found_results;
-      if (!churn) ++invariant_violations;
+      if (!churn) {
+        violations.Violate("steady tenant is never kNotFound",
+                           tenant + ": " + r.status().ToString());
+      }
       return;
     }
     ++error_results;
@@ -748,10 +813,12 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
     // SQL must fail with an input-rejection code, never a shed/deadline
     // mis-code (the drill configures no deadlines and never fills the
     // ring).
-    if (from_grammar) ++invariant_violations;
+    if (from_grammar) {
+      violations.Violate("grammar-valid SQL encodes", r.status());
+    }
     if (r.status().code() != StatusCode::kParseError &&
         r.status().code() != StatusCode::kInvalidArgument) {
-      ++invariant_violations;
+      violations.Violate("error is an input rejection", r.status());
     }
   };
 
@@ -795,22 +862,21 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
       // Steady tenants reload independently; each drain must park only its
       // own tenant's admissions.
       Status sa = service.ReloadModel("a", path_a);
-      if (!sa.ok()) ++invariant_violations;
+      if (!sa.ok()) violations.Violate("tenant a reload succeeds", sa);
       Status sb = service.ReloadModel("b", path_b);
-      if (!sb.ok()) ++invariant_violations;
+      if (!sb.ok()) violations.Violate("tenant b reload succeeds", sb);
       // The churn tenant may be deregistered at this instant: ok and
       // kNotFound are the only legal outcomes.
       Status sc = service.ReloadModel("c", path_a);
       if (!sc.ok() && sc.code() != StatusCode::kNotFound) {
-        ++invariant_violations;
+        violations.Violate("tenant c reload is ok or kNotFound", sc);
       }
       // Failing reloads and ghost tenants must not disturb serving.
-      if (service.ReloadModel("a", "/nonexistent/fuzz.prc1").ok()) {
-        ++invariant_violations;
-      }
-      if (service.ReloadModel("ghost", path_a).code() !=
-          StatusCode::kNotFound) {
-        ++invariant_violations;
+      Status bad = service.ReloadModel("a", "/nonexistent/fuzz.prc1");
+      if (bad.ok()) violations.Violate("missing-file reload fails", bad);
+      Status ghost = service.ReloadModel("ghost", path_a);
+      if (ghost.code() != StatusCode::kNotFound) {
+        violations.Violate("ghost tenant reload is kNotFound", ghost);
       }
       ++reloads;
       std::this_thread::yield();
@@ -819,10 +885,10 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   std::thread churner([&] {
     while (!stop.load()) {
       Status out = service.DeregisterTenant("c");
-      if (!out.ok()) ++invariant_violations;
+      if (!out.ok()) violations.Violate("deregistration succeeds", out);
       std::this_thread::yield();
       Status in = service.RegisterTenant("c", &enc_c, &model_c);
-      if (!in.ok()) ++invariant_violations;
+      if (!in.ok()) violations.Violate("re-registration succeeds", in);
       std::this_thread::yield();
     }
   });
@@ -832,7 +898,7 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   churner.join();
   ASSERT_TRUE(service.HasTenant("c"));  // the churner always re-registers
 
-  EXPECT_EQ(invariant_violations.load(), 0);
+  EXPECT_EQ(violations.total(), 0) << violations.Report();
   const auto& m = service.metrics();
   EXPECT_EQ(m.requests.value(), issued.load());
   // Exact admission accounting: every request resolved as a hit, a miss,

@@ -5,6 +5,7 @@
 #include "nn/module.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
+#include "test_temp_dir.h"
 
 namespace preqr::nn {
 namespace {
@@ -169,7 +170,7 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   Rng rng(10);
   TransformerEncoderLayer a(8, 2, 16, rng);
   TransformerEncoderLayer b(8, 2, 16, rng);  // different init
-  const std::string path = testing::TempDir() + "/preqr_params.bin";
+  const std::string path = test::TempPath("preqr_params.bin");
   ASSERT_TRUE(SaveModule(a, path).ok());
   ASSERT_TRUE(LoadModule(b, path).ok());
   auto pa = a.Parameters();
@@ -187,7 +188,7 @@ TEST(SerializeTest, LoadRejectsWrongArchitecture) {
   Rng rng(11);
   Linear a(4, 4, rng);
   Linear b(4, 5, rng);
-  const std::string path = testing::TempDir() + "/preqr_bad.bin";
+  const std::string path = test::TempPath("preqr_bad.bin");
   ASSERT_TRUE(SaveModule(a, path).ok());
   EXPECT_FALSE(LoadModule(b, path).ok());
   std::remove(path.c_str());

@@ -3,13 +3,17 @@
 // every kernel table and int8 mode, and a PreqrEncoder's memoized state
 // (keys/values and int8 shadows) must track the weights it serves — after
 // a hot reload and after fine-tuning steps — so its encodes stay bitwise
-// equal to a freshly built encoder over the same weights.
+// equal to a freshly built encoder over the same weights. The frozen-prefix
+// memo keeps every miss once an encoder has fine-tuned and, before that, a
+// query's prefix only from its second miss on; filling the memo or not
+// never changes a bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "automaton/template_extractor.h"
@@ -27,6 +31,7 @@
 #include "text/tokenizer.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::tasks {
 namespace {
@@ -169,7 +174,7 @@ class EncoderMemoTest : public ::testing::TestWithParam<bool> {};
 TEST_P(EncoderMemoTest, ReloadMatchesFreshEncoder) {
   const bool int8 = GetParam();
   // One file per parameter: ctest runs the two instances concurrently.
-  const std::string path = testing::TempDir() + "/schema_kv_memo_reload_" +
+  const std::string path = test::TempPath("schema_kv_memo_reload_") +
                            (int8 ? "int8" : "float") + ".prm";
   ASSERT_TRUE(nn::SaveModule(*E().MakeModel(53), path).ok());
 
@@ -206,7 +211,9 @@ TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
   const bool int8 = GetParam();
   auto model = E().MakeModel(31);
   PreqrEncoder encoder(model.get(), EncoderOptions(int8));
-  // Warm every prefix and the schema memo with an inference encode first.
+  // Warm the schema memo with an inference encode first (a never-tuned
+  // encoder keeps no prefix on a query's first miss; the fine-tuning steps
+  // below fill the prefix memo).
   for (const auto& v : encoder.TryEncodeVectorBatch(E().corpus, false)) {
     ASSERT_TRUE(v.ok());
   }
@@ -240,6 +247,155 @@ TEST(Int8PrefixCacheTest, TrainModeMissCachesTheInt8Prefix) {
     EXPECT_TRUE(SameBits(got[i], want.value()))
         << "int8 inference encode reused a float prefix: " << E().corpus[i];
   }
+}
+
+// Every corpus query through `encoder`, inference mode, in order.
+std::vector<nn::Tensor> EncodeCorpus(PreqrEncoder& encoder) {
+  std::vector<nn::Tensor> out;
+  for (auto& v : encoder.TryEncodeVectorBatch(E().corpus, /*train=*/false)) {
+    EXPECT_TRUE(v.ok()) << v.status().ToString();
+    out.push_back(v.ok() ? std::move(v).value() : nn::Tensor());
+  }
+  return out;
+}
+
+// The same bits whether an encoder fills the prefix memo or not, and
+// whether an encode reads its prefix from the memo or computes it.
+TEST_P(EncoderMemoTest, MemoFillingEncoderMatchesNeverTunedBitwise) {
+  const bool int8 = GetParam();
+  auto model = E().MakeModel(43);
+  PreqrEncoder never_tuned(model.get(), EncoderOptions(int8));
+  PreqrEncoder filling(model.get(), EncoderOptions(int8));
+  // A fine-tuning step that moves no weight turns the memo on.
+  filling.BeginStep(/*train=*/true);
+  filling.BeginStep(/*train=*/false);
+  const auto want = EncodeCorpus(never_tuned);
+  const auto missed = EncodeCorpus(filling);
+  EXPECT_EQ(never_tuned.cached_queries(), 0u);
+  ASSERT_GT(filling.cached_queries(), 0u);
+  const uint64_t hits_before = filling.cache_stats().hits;
+  const auto hit = EncodeCorpus(filling);
+  EXPECT_GE(filling.cache_stats().hits, hits_before + E().corpus.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(missed[i], want[i])) << E().corpus[i];
+    EXPECT_TRUE(SameBits(hit[i], want[i])) << E().corpus[i];
+  }
+}
+
+// A serving encoder never fine-tunes: a query EncoderService sends it once
+// is computed and dropped, since the service's own cache answers repeats.
+TEST(PrefixMemoTest, NeverTunedEncoderBehindServiceKeepsNoPrefixes) {
+  auto model = E().MakeModel(47);
+  PreqrEncoder encoder(model.get());
+  serving::EncoderService service(&encoder);
+  service.AttachModel(model.get());
+  for (const auto& sql : E().corpus) ASSERT_TRUE(service.Encode(sql).ok());
+  ASSERT_TRUE(
+      service.EncodeBatch(std::vector<std::string>(E().corpus))[0].ok());
+  EXPECT_EQ(encoder.cached_queries(), 0u);
+  // The probes still count: every distinct query missed.
+  EXPECT_GE(encoder.cache_stats().misses,
+            std::unordered_set<std::string>(E().corpus.begin(),
+                                            E().corpus.end())
+                .size());
+  EXPECT_EQ(encoder.cache_stats().hits, 0u);
+}
+
+// The corpus without repeats, in first-occurrence order.
+std::vector<std::string> DistinctCorpus() {
+  std::vector<std::string> out;
+  std::unordered_set<std::string> seen;
+  for (const auto& sql : E().corpus) {
+    if (seen.insert(sql).second) out.push_back(sql);
+  }
+  return out;
+}
+
+// Behind a result cache smaller than its working set, a never-tuned encoder
+// is sent the same queries again: it keeps each one's prefix from its
+// second miss on and serves the third from the memo, with the same bits.
+TEST(PrefixMemoTest, NeverTunedEncoderKeepsPrefixesFromTheSecondMiss) {
+  const auto corpus = DistinctCorpus();
+  ASSERT_GE(corpus.size(), 3u);
+  auto model = E().MakeModel(67);
+  PreqrEncoder encoder(model.get());
+  serving::EncoderServiceOptions options;
+  options.cache_capacity = 1;
+  options.cache_shards = 1;
+  serving::EncoderService service(&encoder, options);
+  service.AttachModel(model.get());
+  std::vector<nn::Tensor> first;
+  for (const auto& sql : corpus) {
+    auto v = service.Encode(sql);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    first.push_back(std::move(v).value());
+  }
+  EXPECT_EQ(encoder.cached_queries(), 0u);
+  for (const auto& sql : corpus) ASSERT_TRUE(service.Encode(sql).ok());
+  EXPECT_EQ(encoder.cached_queries(), corpus.size());
+  EXPECT_EQ(encoder.cache_stats().hits, 0u);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    auto v = service.Encode(corpus[i]);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_TRUE(SameBits(v.value(), first[i])) << corpus[i];
+  }
+  EXPECT_EQ(encoder.cache_stats().hits, corpus.size());
+}
+
+// One train-mode encode turns the memo on for every later inference miss,
+// bounded by the capacity and counted.
+TEST(PrefixMemoTest, TrainModeEncodeTurnsTheMemoOn) {
+  const auto corpus = DistinctCorpus();
+  auto model = E().MakeModel(53);
+  PreqrEncoder::Options options;
+  options.cache_capacity = 4;
+  options.cache_shards = 2;
+  PreqrEncoder encoder(model.get(), options);
+  for (const auto& sql : corpus) {
+    ASSERT_TRUE(encoder.TryEncodeVector(sql, /*train=*/false).ok());
+  }
+  ASSERT_EQ(encoder.cached_queries(), 0u);
+  ASSERT_TRUE(encoder.TryEncodeVector(corpus[0], /*train=*/true).ok());
+  EXPECT_EQ(encoder.cached_queries(), 1u);
+  const auto before = encoder.cache_stats();
+  for (const auto& sql : corpus) {
+    ASSERT_TRUE(encoder.TryEncodeVector(sql, /*train=*/false).ok());
+  }
+  const auto after = encoder.cache_stats();
+  EXPECT_GT(encoder.cached_queries(), 1u);
+  EXPECT_LE(encoder.cached_queries(), 4u);
+  EXPECT_GT(after.evictions, before.evictions);
+  EXPECT_EQ(after.hits + after.misses,
+            before.hits + before.misses + corpus.size());
+  // The last query in is still held: encoding it again is a hit.
+  ASSERT_TRUE(encoder.TryEncodeVector(corpus.back(), /*train=*/false).ok());
+  EXPECT_EQ(encoder.cache_stats().hits, after.hits + 1);
+}
+
+// The flag describes how the encoder is used, not the weights it holds:
+// InvalidateCache and a hot reload empty the memo but keep it on.
+TEST(PrefixMemoTest, FineTunedFlagSurvivesInvalidateAndReload) {
+  const std::string path = test::TempPath("prefix_memo_reload.prm");
+  ASSERT_TRUE(nn::SaveModule(*E().MakeModel(59), path).ok());
+  auto model = E().MakeModel(61);
+  PreqrEncoder encoder(model.get());
+  serving::EncoderService service(&encoder);
+  service.AttachModel(model.get());
+  encoder.BeginStep(/*train=*/true);
+  encoder.BeginStep(/*train=*/false);
+  ASSERT_TRUE(encoder.TryEncodeVector(E().corpus[0], false).ok());
+  ASSERT_EQ(encoder.cached_queries(), 1u);
+
+  encoder.InvalidateCache();
+  EXPECT_EQ(encoder.cached_queries(), 0u);
+  ASSERT_TRUE(encoder.TryEncodeVector(E().corpus[1], false).ok());
+  EXPECT_EQ(encoder.cached_queries(), 1u);
+
+  ASSERT_TRUE(service.ReloadModel(path).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(encoder.cached_queries(), 0u);
+  ASSERT_TRUE(service.Encode(E().corpus[2]).ok());
+  EXPECT_EQ(encoder.cached_queries(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FloatAndInt8, EncoderMemoTest, ::testing::Bool(),

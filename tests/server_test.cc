@@ -32,6 +32,7 @@
 #include "tasks/preqr_encoder.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::serving {
 namespace {
@@ -212,7 +213,7 @@ TEST(EncodeServerTest, MetricsEndpointServesTextDump) {
 TEST(EncodeServerTest, ReloadEndpointSwapsWeightsAndClearsCache) {
   Loopback lb;
   lb.service.AttachModel(&lb.model);
-  const std::string path = testing::TempDir() + "/server_test_reload.prc1";
+  const std::string path = test::TempPath("server_test_reload.prc1");
   ASSERT_TRUE(nn::SaveModule(lb.model, path).ok());
   ASSERT_TRUE(lb.client.Encode(E().corpus[0]).ok());
   EXPECT_GE(lb.service.cached_embeddings(), 1u);
@@ -501,7 +502,7 @@ TEST(EncodeServerTest, PerTenantReloadOverTheWire) {
   core::PreqrModel model_b = E().MakeModel();
   tasks::PreqrEncoder encoder_b(&model_b);
   ASSERT_TRUE(lb.service.RegisterTenant("b", &encoder_b, &model_b).ok());
-  const std::string path = testing::TempDir() + "/server_test_tenant_b.prc1";
+  const std::string path = test::TempPath("server_test_tenant_b.prc1");
   ASSERT_TRUE(nn::SaveModule(model_b, path).ok());
   WireRequestOptions options_b;
   options_b.tenant_id = "b";

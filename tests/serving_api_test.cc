@@ -22,6 +22,7 @@
 #include "nn/serialize.h"
 #include "serving/encoder_service.h"
 #include "serving/request_ring.h"
+#include "test_temp_dir.h"
 
 namespace preqr::serving {
 namespace {
@@ -343,7 +344,7 @@ TEST(ServingApiTest, ReloadDrainsQueueParksArrivalsDropsNothing) {
   EncoderService service(&stub, options);
   TinyModule model;
   service.AttachModel(&model);
-  const std::string path = testing::TempDir() + "/serving_api_reload.prm1";
+  const std::string path = test::TempPath("serving_api_reload.prm1");
   ASSERT_TRUE(nn::SaveModule(model, path).ok());
 
   stub.CloseGate();
@@ -392,7 +393,7 @@ TEST(ServingApiTest, ParkedArrivalHonorsDeadlineDuringDrain) {
   EncoderService service(&stub);
   TinyModule model;
   service.AttachModel(&model);
-  const std::string path = testing::TempDir() + "/serving_api_reload2.prm1";
+  const std::string path = test::TempPath("serving_api_reload2.prm1");
   ASSERT_TRUE(nn::SaveModule(model, path).ok());
 
   stub.CloseGate();
@@ -428,7 +429,7 @@ TEST(ServingApiTest, PerTenantReloadParksOnlyThatTenant) {
   TinyModule model_a;
   service.AttachModel(&model_a);
   ASSERT_TRUE(service.RegisterTenant("b", &stub_b).ok());
-  const std::string path = testing::TempDir() + "/serving_api_tenant.prm1";
+  const std::string path = test::TempPath("serving_api_tenant.prm1");
   ASSERT_TRUE(nn::SaveModule(model_a, path).ok());
 
   stub_a.CloseGate();

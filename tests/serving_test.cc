@@ -419,6 +419,10 @@ TEST(PreqrEncoderCacheTest, PrefixCacheBoundedAndCounted) {
   options.cache_capacity = 4;
   options.cache_shards = 2;
   tasks::PreqrEncoder encoder(&model, options);
+  // The memo fills only for an encoder that fine-tunes; one step turns it
+  // on for the inference encodes below.
+  encoder.BeginStep(/*train=*/true);
+  encoder.BeginStep(/*train=*/false);
   for (const auto& sql : E().corpus) {
     (void)encoder.EncodeVector(sql, /*train=*/false);
   }

@@ -616,6 +616,75 @@ TEST(SetupEquivalenceTest, IntStatsMatchReferenceOnEveryPath) {
   }
 }
 
+// Past |v| ~ 9.22e15, v * 1000 leaves int64 and the reference's cast is
+// undefined, so these cases carry their own expected stats (a UBSan build
+// with float-cast-overflow checks runs them). There every value is its own
+// key: distinct values stay distinct, and each MCV reads back as its value.
+TEST(SetupEquivalenceTest, NumericStatsPastInt64KeysAreDefined) {
+  const double p63 = 9223372036854775808.0;  // 2^63 = double(INT64_MAX)
+  {
+    const db::ColumnStats got =
+        db::StatsCollector(4, 2)
+            .Analyze(IntTable({int64_t{10000000000000000}, -4000000000000000000,
+                               int64_t{4611686018427387904}, 10000000000000002,
+                               int64_t{30000000000000000}, 10000000000000000,
+                               std::numeric_limits<int64_t>::max(),
+                               -4000000000000000000, 10000000000000000}))
+            .columns.at(0);
+    db::ColumnStats want;
+    want.type = sql::ColumnType::kInt;
+    want.row_count = 9;
+    want.min = -4e18;
+    want.max = p63;
+    want.num_distinct = 6;  // 1e16 and 1e16 + 2 stay apart
+    want.histogram_bounds = {-4e18, 1e16, 1e16, 3e16, p63};
+    want.mcv_numeric = {{1e16, 3.0 / 9}, {-4e18, 2.0 / 9}};
+    SCOPED_TRACE("ints past 9.22e15");
+    ExpectSameColumnStats(got, want);
+  }
+  {
+    // (1e16 + 42) * 1000 is not a double: it rounds up, and dividing the
+    // rounded product by 1000 would read back 1e16 + 44. The MCVs hold the
+    // values themselves.
+    const int64_t base = 10000000000000000;
+    const db::ColumnStats got =
+        db::StatsCollector(4, 2)
+            .Analyze(IntTable({base + 42, base + 44, base + 40, base + 42,
+                               base + 44, base + 42}))
+            .columns.at(0);
+    db::ColumnStats want;
+    want.type = sql::ColumnType::kInt;
+    want.row_count = 6;
+    want.min = 1e16 + 40;
+    want.max = 1e16 + 44;
+    want.num_distinct = 3;
+    want.histogram_bounds = {1e16 + 40, 1e16 + 42, 1e16 + 42, 1e16 + 42,
+                             1e16 + 44};
+    want.mcv_numeric = {{1e16 + 42, 3.0 / 6}, {1e16 + 44, 2.0 / 6}};
+    SCOPED_TRACE("ints whose v * 1000 rounds");
+    ExpectSameColumnStats(got, want);
+    EXPECT_EQ(got.EstimateEqualitySelectivity(1e16 + 42), 3.0 / 6);
+  }
+  {
+    // 1e306 and 1e307 would overflow v * 1000 to +inf; they stay apart.
+    const db::ColumnStats got =
+        db::StatsCollector(4, 2)
+            .Analyze(FloatTable({1e300, -2e16, 1e307, 5e15, -1e300, -2e16,
+                                 1e20, 1e306, -2e16}))
+            .columns.at(0);
+    db::ColumnStats want;
+    want.type = sql::ColumnType::kFloat;
+    want.row_count = 9;
+    want.min = -1e300;
+    want.max = 1e307;
+    want.num_distinct = 7;
+    want.histogram_bounds = {-1e300, -2e16, 5e15, 1e300, 1e307};
+    want.mcv_numeric = {{-2e16, 3.0 / 9}, {-1e300, 1.0 / 9}};
+    SCOPED_TRACE("floats past 9.22e15");
+    ExpectSameColumnStats(got, want);
+  }
+}
+
 TEST(SetupEquivalenceTest, StringStatsMatchHashMapReference) {
   Rng rng(8);
   std::vector<std::string> v;

@@ -20,6 +20,7 @@
 #include "nn/serialize.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
+#include "test_temp_dir.h"
 
 namespace preqr::serving {
 namespace {
@@ -308,7 +309,7 @@ TEST(TenantServiceTest, PerTenantReloadDrainsOnlyThatTenant) {
   const std::string& sql = E().corpus[0];
   ASSERT_TRUE(service.Encode(Req(sql, "a")).ok());
   ASSERT_TRUE(service.Encode(Req(sql, "b")).ok());
-  const std::string path = testing::TempDir() + "/tenant_reload_a.prc1";
+  const std::string path = test::TempPath("tenant_reload_a.prc1");
   ASSERT_TRUE(nn::SaveModule(*E().contexts[0]->model(), path).ok());
   ASSERT_TRUE(service.ReloadModel("a", path).ok());
   // Only tenant a's partition was cleared; b still hits.

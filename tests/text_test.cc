@@ -4,6 +4,7 @@
 #include "text/tokenizer.h"
 #include "text/vocab.h"
 #include "workload/imdb.h"
+#include "test_temp_dir.h"
 
 namespace preqr::text {
 namespace {
@@ -35,7 +36,7 @@ TEST(VocabTest, SaveLoadRoundTrip) {
   Vocab v;
   v.Add("alpha");
   v.Add("beta");
-  const std::string path = testing::TempDir() + "/vocab.txt";
+  const std::string path = test::TempPath("vocab.txt");
   ASSERT_TRUE(v.Save(path).ok());
   auto loaded = Vocab::Load(path);
   ASSERT_TRUE(loaded.ok());
