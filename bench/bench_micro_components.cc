@@ -7,6 +7,10 @@
 // run with =1 and =4 to measure the thread-pool speedup.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "automaton/template_extractor.h"
 #include "common/thread_pool.h"
 #include "core/preqr_model.h"
@@ -16,7 +20,6 @@
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
 #include "nn/module.h"
-#include "nn/quant.h"
 #include "nn/ops.h"
 #include "schema/schema_graph.h"
 #include "serving/encoder_service.h"
@@ -117,25 +120,74 @@ void BM_PreqrEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_PreqrEncode);
 
-// --- Grad-mode / storage layer ------------------------------------------
-// The same encoder forward with the tape on vs. off. The no-grad path skips
-// every parents/grad_fn allocation and draws activations from the
-// thread-local BufferPool; `impls` and `pool_reuse` counters quantify the
-// allocation savings per encode (the impls gap is all tape bookkeeping the
-// inference path no longer pays for).
+// --- Encode misses ------------------------------------------------------
+// The encode rows cycle through distinct SQL, so every iteration is a
+// miss, as on serve_miss: tokenize, the frozen prefix, the last layer and
+// the read-out run, while the schema encoding and its keys/values stay
+// memoized from construction (BM_EncodeSchema times those alone). The
+// encoders hold a 1-entry prefix cache, and no query follows itself, so
+// the cycle never hits. A short fixed cycle gives every run the same
+// query mix whatever its iteration count.
 
-void EncodeForwardOnce(tasks::PreqrEncoder& encoder) {
-  benchmark::DoNotOptimize(encoder.TryEncodeVector(kQuery, /*train=*/false));
+// 64 distinct queries over S().imdb, in generation order.
+const std::vector<std::string>& MissCycle() {
+  static const std::vector<std::string>* cycle = [] {
+    workload::ImdbQueryGenerator gen(S().imdb, 11);
+    std::unordered_set<std::string> seen;
+    auto* out = new std::vector<std::string>();
+    for (const auto& q : gen.Synthetic(256, 2)) {
+      if (out->size() < 64 && seen.insert(q.sql).second) {
+        out->push_back(q.sql);
+      }
+    }
+    return out;
+  }();
+  return *cycle;
 }
 
-void BM_EncodeNoGrad(benchmark::State& state) {
+// Hands out MissCycle() in order, from its start, round and round.
+class MissQueries {
+ public:
+  const std::string& Next() { return cycle_[next_++ % cycle_.size()]; }
+
+ private:
+  const std::vector<std::string>& cycle_ = MissCycle();
+  size_t next_ = 0;
+};
+
+// An encoder over S().model that misses on every query of MissQueries.
+tasks::PreqrEncoder MissEncoder() {
+  tasks::PreqrEncoder::Options options;
+  options.cache_capacity = 1;
+  options.cache_shards = 1;
+  return tasks::PreqrEncoder(S().model.get(), options);
+}
+
+// The schema side of an encoder: re-encoding the schema nodes (the name
+// BiLSTM and the R-GCN) and re-projecting every layer's keys/values. Paid
+// at construction, on InvalidateCache and on every model reload, never by
+// a miss.
+void BM_EncodeSchema(benchmark::State& state) {
   tasks::PreqrEncoder encoder(S().model.get());
-  encoder.InvalidateCache();
+  for (auto _ : state) encoder.InvalidateCache();
+}
+BENCHMARK(BM_EncodeSchema);
+
+// --- Grad-mode / storage layer ------------------------------------------
+// The same miss with the tape on vs. off. The no-grad path skips every
+// parents/grad_fn allocation and draws activations from the thread-local
+// BufferPool; `impls` and `pool_reuse` counters quantify the allocation
+// savings per encode (the impls gap is all tape bookkeeping the inference
+// path no longer pays for).
+
+void BM_EncodeNoGrad(benchmark::State& state) {
+  tasks::PreqrEncoder encoder = MissEncoder();
+  MissQueries queries;
   const uint64_t impls0 = nn::TensorImplsCreated();
   const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
   for (auto _ : state) {
-    encoder.InvalidateCache();  // prefix re-encoded every iteration
-    EncodeForwardOnce(encoder);
+    benchmark::DoNotOptimize(
+        encoder.TryEncodeVector(queries.Next(), /*train=*/false));
   }
   const nn::BufferPoolStats pool1 = nn::BufferPool::TotalStats();
   const double iters = static_cast<double>(state.iterations());
@@ -149,17 +201,14 @@ void BM_EncodeNoGrad(benchmark::State& state) {
 BENCHMARK(BM_EncodeNoGrad);
 
 void BM_EncodeTapeOn(benchmark::State& state) {
-  tasks::PreqrEncoder::Options options;
-  options.cache_capacity = 1;
-  options.cache_shards = 1;
-  tasks::PreqrEncoder encoder(S().model.get(), options);
-  encoder.InvalidateCache();
+  tasks::PreqrEncoder encoder = MissEncoder();
+  MissQueries queries;
   const uint64_t impls0 = nn::TensorImplsCreated();
   for (auto _ : state) {
-    encoder.InvalidateCache();
     // train=true keeps the tape through the read-out; backward not run, so
     // the delta vs. BM_EncodeNoGrad is pure tape + allocation overhead.
-    benchmark::DoNotOptimize(encoder.TryEncodeVector(kQuery, /*train=*/true));
+    benchmark::DoNotOptimize(
+        encoder.TryEncodeVector(queries.Next(), /*train=*/true));
   }
   state.counters["impls_per_encode"] =
       static_cast<double>(nn::TensorImplsCreated() - impls0) /
@@ -171,34 +220,19 @@ BENCHMARK(BM_EncodeTapeOn);
 // The padded [B, T, d] path runs each op once per batch instead of once per
 // query, so tensor-impl creations (== op dispatches) and pool/heap
 // allocations per query must drop vs. the per-query loop at B=8, with
-// throughput no worse on a small machine. Caches are invalidated every
-// iteration so both sides pay the full prefix + read-out compute.
+// throughput no worse on a small machine. Both take the next 8 queries of
+// the miss cycle per iteration, so both pay the full prefix + read-out
+// compute for every query.
 
-std::vector<std::string> BatchBenchQueries() {
-  std::vector<std::string> queries;
-  for (int y = 0; y < 8; ++y) {
-    queries.push_back(
-        "SELECT COUNT(*) FROM title t WHERE t.production_year > " +
-        std::to_string(1990 + y));
-  }
-  return queries;
-}
+constexpr int kBatchBenchQueries = 8;
 
-void BM_EncodeLoop(benchmark::State& state) {
-  tasks::PreqrEncoder encoder(S().model.get());
-  const auto queries = BatchBenchQueries();
-  const uint64_t impls0 = nn::TensorImplsCreated();
-  const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
-  for (auto _ : state) {
-    encoder.InvalidateCache();
-    for (const auto& q : queries) {
-      benchmark::DoNotOptimize(encoder.TryEncodeVector(q, /*train=*/false));
-    }
-  }
+// Records the per-query counters of an encode loop that started at
+// `impls0` / `pool0`.
+void SetPerQueryCounters(benchmark::State& state, uint64_t impls0,
+                         const nn::BufferPoolStats& pool0) {
   const nn::BufferPoolStats pool1 = nn::BufferPool::TotalStats();
   const double n_queries =
-      static_cast<double>(state.iterations()) *
-      static_cast<double>(queries.size());
+      static_cast<double>(state.iterations()) * kBatchBenchQueries;
   state.counters["impls_per_query"] =
       static_cast<double>(nn::TensorImplsCreated() - impls0) / n_queries;
   state.counters["pool_reuse_per_query"] =
@@ -206,30 +240,35 @@ void BM_EncodeLoop(benchmark::State& state) {
   state.counters["heap_allocs_per_query"] =
       static_cast<double>(pool1.allocs - pool0.allocs) / n_queries;
   state.SetItemsProcessed(static_cast<int64_t>(n_queries));
+}
+
+void BM_EncodeLoop(benchmark::State& state) {
+  tasks::PreqrEncoder encoder = MissEncoder();
+  MissQueries queries;
+  const uint64_t impls0 = nn::TensorImplsCreated();
+  const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
+  for (auto _ : state) {
+    for (int i = 0; i < kBatchBenchQueries; ++i) {
+      benchmark::DoNotOptimize(
+          encoder.TryEncodeVector(queries.Next(), /*train=*/false));
+    }
+  }
+  SetPerQueryCounters(state, impls0, pool0);
 }
 BENCHMARK(BM_EncodeLoop);
 
 void BM_EncodeBatch(benchmark::State& state) {
-  tasks::PreqrEncoder encoder(S().model.get());
-  const auto queries = BatchBenchQueries();
+  tasks::PreqrEncoder encoder = MissEncoder();
+  MissQueries queries;
+  std::vector<std::string> batch(kBatchBenchQueries);
   const uint64_t impls0 = nn::TensorImplsCreated();
   const nn::BufferPoolStats pool0 = nn::BufferPool::TotalStats();
   for (auto _ : state) {
-    encoder.InvalidateCache();
+    for (auto& sql : batch) sql = queries.Next();
     benchmark::DoNotOptimize(
-        encoder.TryEncodeVectorBatch(queries, /*train=*/false));
+        encoder.TryEncodeVectorBatch(batch, /*train=*/false));
   }
-  const nn::BufferPoolStats pool1 = nn::BufferPool::TotalStats();
-  const double n_queries =
-      static_cast<double>(state.iterations()) *
-      static_cast<double>(queries.size());
-  state.counters["impls_per_query"] =
-      static_cast<double>(nn::TensorImplsCreated() - impls0) / n_queries;
-  state.counters["pool_reuse_per_query"] =
-      static_cast<double>(pool1.reuses - pool0.reuses) / n_queries;
-  state.counters["heap_allocs_per_query"] =
-      static_cast<double>(pool1.allocs - pool0.allocs) / n_queries;
-  state.SetItemsProcessed(static_cast<int64_t>(n_queries));
+  SetPerQueryCounters(state, impls0, pool0);
 }
 BENCHMARK(BM_EncodeBatch);
 
@@ -446,7 +485,7 @@ void BM_MatMulKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernel)->Arg(96)->Arg(192);
 
-// --- Kernel dispatch backends (scalar vs AVX2 vs AVX-512 vs int8) --------
+// --- Kernel dispatch backends (scalar vs AVX2 vs AVX-512) ----------------
 // The same square GEMM through each kernel table directly, so each
 // backend's speedup is measured at the kernel floor with no dispatch-table
 // indirection in the loop body.
@@ -500,68 +539,40 @@ void BM_MatMulKernelAvx512(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernelAvx512)->Arg(96)->Arg(192);
 
-// The int8 path pays per-row activation quantization inside the loop, as
-// the encode path does.
-void BM_MatMulKernelInt8(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(10);
-  nn::Tensor w = nn::Tensor::Randn({n, n}, rng, 1.0f);
-  auto qw = nn::quant::QuantizeWeight(w);
-  const size_t elems = static_cast<size_t>(n) * static_cast<size_t>(n);
-  std::vector<float> a(elems), out(elems, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
-  for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    nn::quant::Int8MatMulForward(a.data(), *qw, out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-BENCHMARK(BM_MatMulKernelInt8)->Arg(96)->Arg(192);
-
-// End-to-end no-grad encode under a forced kernel impl / the int8 path:
-// the serving-visible form of the same speedup.
-void EncodeNoGradImplBench(benchmark::State& state, const char* impl,
-                           bool use_int8) {
+// A no-grad encode miss under a forced kernel impl: the serving-visible
+// form of the same speedup.
+void EncodeNoGradImplBench(benchmark::State& state, const char* impl) {
   const char* entry_impl = nn::kernels::ActiveImplName();
   if (!nn::kernels::SetActiveImpl(impl)) {
     state.SkipWithError("kernel impl unavailable on this host");
     return;
   }
   {
-    tasks::PreqrEncoder::Options options;
-    options.use_int8 = use_int8;
-    tasks::PreqrEncoder encoder(S().model.get(), options);
+    tasks::PreqrEncoder encoder = MissEncoder();
+    MissQueries queries;
     for (auto _ : state) {
-      encoder.InvalidateCache();
-      EncodeForwardOnce(encoder);
+      benchmark::DoNotOptimize(
+          encoder.TryEncodeVector(queries.Next(), /*train=*/false));
     }
   }
   nn::kernels::SetActiveImpl(entry_impl);
 }
 
 void BM_EncodeNoGradScalar(benchmark::State& state) {
-  EncodeNoGradImplBench(state, "scalar", /*use_int8=*/false);
+  EncodeNoGradImplBench(state, "scalar");
 }
 BENCHMARK(BM_EncodeNoGradScalar);
 
 void BM_EncodeNoGradAvx2(benchmark::State& state) {
-  EncodeNoGradImplBench(state, "avx2", /*use_int8=*/false);
+  EncodeNoGradImplBench(state, "avx2");
 }
 BENCHMARK(BM_EncodeNoGradAvx2);
 
 void BM_EncodeNoGradAvx512(benchmark::State& state) {
   SingleThreadPool single;
-  EncodeNoGradImplBench(state, "avx512", /*use_int8=*/false);
+  EncodeNoGradImplBench(state, "avx512");
 }
 BENCHMARK(BM_EncodeNoGradAvx512);
-
-void BM_EncodeNoGradInt8(benchmark::State& state) {
-  EncodeNoGradImplBench(
-      state, nn::kernels::Avx2Supported() ? "avx2" : "scalar",
-      /*use_int8=*/true);
-}
-BENCHMARK(BM_EncodeNoGradInt8);
 
 // The encode path's GEMM shape: 34 token rows of width 64 against a
 // [64, n] weight, n swept over the model's output widths (d_model, the

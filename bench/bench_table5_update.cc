@@ -2,9 +2,13 @@
 // cases (Section 3.6). Wall-clock of one representative update round per
 // case; the paper's ordering (Case 1 << Case 2 < Case 3 < Case 4) is the
 // claim under test, not the absolute hours.
+#include <stdlib.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "bench/harness.h"
 
@@ -39,7 +43,9 @@ text::SqlTokenizer::TokenizedBatch CollateOne(
   return text::SqlTokenizer::Collate({&tokenized}, model.config().max_seq_len);
 }
 
-void Run() {
+// Returns the process exit code: non-zero when the checkpoint save or the
+// hot reload fails.
+int Run() {
   PrintHeader("Table 5", "update cost of the PreQR model");
   core::PreqrConfig config = BenchConfig();
   EstimationSetup s = BuildEstimationSetup(config, /*pretrain_epochs=*/0);
@@ -153,20 +159,34 @@ void Run() {
   // write), hot-reload it into the serving stack, then re-serve the probe
   // and report how far the embedding moved (the drift the stale cache
   // would have kept serving).
-  const std::string ckpt = "/tmp/preqr_table5_update.ckpt";
+  // The checkpoint goes to a directory of this process's own, so two runs
+  // at once never overwrite or delete each other's file.
+  std::error_code ec;
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+  std::string dir = (tmp / "preqr_table5_XXXXXX").string();
+  if (ec || mkdtemp(dir.data()) == nullptr) {
+    std::fprintf(stderr, "cannot make a checkpoint directory under '%s'\n",
+                 tmp.c_str());
+    return 1;
+  }
+  const std::string ckpt = dir + "/update.ckpt";
+  bool deployed = false;
   {
     core::Pretrainer checkpointer(*s.model, core::Pretrainer::Options{});
     const auto t0 = std::chrono::steady_clock::now();
     if (auto st = checkpointer.SaveCheckpoint(ckpt); !st.ok()) {
       std::printf("checkpoint save FAILED: %s\n", st.ToString().c_str());
-    }
-    if (auto st = service.ReloadModel(ckpt); !st.ok()) {
+    } else if (auto st = service.ReloadModel(ckpt); !st.ok()) {
       std::printf("hot reload FAILED: %s\n", st.ToString().c_str());
+    } else {
+      deployed = true;
+      std::printf(
+          "\nserving: checkpoint + hot reload took %.3f s (PRC1 -> %s)\n",
+          Seconds(t0, std::chrono::steady_clock::now()), ckpt.c_str());
     }
-    std::printf("\nserving: checkpoint + hot reload took %.3f s (PRC1 -> %s)\n",
-                Seconds(t0, std::chrono::steady_clock::now()), ckpt.c_str());
   }
-  std::remove(ckpt.c_str());
+  std::filesystem::remove_all(dir, ec);
+  if (!deployed) return 1;
   auto probe_after = service.Encode(probe);
   if (probe_before.ok() && probe_after.ok()) {
     const auto& a = probe_before.value().vec();
@@ -185,12 +205,10 @@ void Run() {
               static_cast<unsigned long long>(service.metrics().requests.value()),
               static_cast<unsigned long long>(
                   service.metrics().invalidations.value()));
+  return 0;
 }
 
 }  // namespace
 }  // namespace preqr::bench
 
-int main() {
-  preqr::bench::Run();
-  return 0;
-}
+int main() { return preqr::bench::Run(); }

@@ -44,10 +44,9 @@ void Run() {
   const std::vector<workload::BenchQuery>* last_train = nullptr;
   std::unique_ptr<baselines::OneHotEncoder> onehot;
   std::unique_ptr<baselines::LstmQueryEncoder> lstm;
-  std::unique_ptr<baselines::ConcatEncoder> lstm_bm, preqr_bm, preqr_bm_q;
-  std::unique_ptr<tasks::PreqrEncoder> preqr_enc, preqr_enc_q;
-  std::unique_ptr<tasks::EstimatorModel> mscn_model, lstm_model, preqr_model,
-      preqr_model_q;
+  std::unique_ptr<baselines::ConcatEncoder> lstm_bm, preqr_bm;
+  std::unique_ptr<tasks::PreqrEncoder> preqr_enc;
+  std::unique_ptr<tasks::EstimatorModel> mscn_model, lstm_model, preqr_model;
   std::unique_ptr<tasks::CorrectionModel> nc_correction;
 
   for (const auto& wl : workloads) {
@@ -83,20 +82,6 @@ void Run() {
           std::make_unique<tasks::EstimatorModel>(preqr_bm.get(), popt);
       preqr_model->Fit(train_sqls, train_cards);
 
-      // The int8 quantized encode path end to end: same frozen PreQR
-      // weights, embeddings produced by the int8 GEMM, same estimator
-      // head recipe. Its q-error row quantifies what quantization costs
-      // the downstream task (the ISSUE's drift bound is checked below).
-      tasks::PreqrEncoder::Options qopt;
-      qopt.use_int8 = true;
-      preqr_enc_q =
-          std::make_unique<tasks::PreqrEncoder>(s.model.get(), qopt);
-      preqr_bm_q = std::make_unique<baselines::ConcatEncoder>(
-          preqr_enc_q.get(), &bitmap);
-      preqr_model_q =
-          std::make_unique<tasks::EstimatorModel>(preqr_bm_q.get(), popt);
-      preqr_model_q->Fit(train_sqls, train_cards);
-
       // NeuroCard correction model on the same training queries.
       std::vector<double> nc_base;
       for (const auto& q : *wl.train) {
@@ -127,19 +112,9 @@ void Run() {
     PrintQErrorRow("LSTMCard",
                    eval::ComputeQErrors(truths, lstm_model->PredictAll(
                                                     eval_sqls)));
-    const eval::QErrorStats preqr_q_errors =
-        eval::ComputeQErrors(truths, preqr_model->PredictAll(eval_sqls));
-    PrintQErrorRow("PreQRCard", preqr_q_errors);
-    const eval::QErrorStats int8_q_errors =
-        eval::ComputeQErrors(truths, preqr_model_q->PredictAll(eval_sqls));
-    PrintQErrorRow("PreQRCard-int8", int8_q_errors);
-    // Quantization must not wreck the estimator: the int8 median q-error
-    // stays within 1.5x of float (plus slack for near-1.0 medians).
-    const double bound = 1.5 * preqr_q_errors.median + 0.5;
-    std::printf("%-18s median %.2f vs float %.2f (bound %.2f): %s\n",
-                "int8-drift-check", int8_q_errors.median,
-                preqr_q_errors.median, bound,
-                int8_q_errors.median <= bound ? "PASS" : "FAIL");
+    PrintQErrorRow("PreQRCard",
+                   eval::ComputeQErrors(truths, preqr_model->PredictAll(
+                                                    eval_sqls)));
     {
       std::vector<double> est, corrected;
       for (const auto& q : *wl.eval) {

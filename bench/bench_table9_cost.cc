@@ -35,10 +35,9 @@ void Run() {
   const std::vector<workload::BenchQuery>* last_train = nullptr;
   std::unique_ptr<baselines::OneHotEncoder> onehot;
   std::unique_ptr<baselines::LstmQueryEncoder> lstm;
-  std::unique_ptr<baselines::ConcatEncoder> lstm_bm, preqr_bm, preqr_bm_q;
-  std::unique_ptr<tasks::PreqrEncoder> preqr_enc, preqr_enc_q;
-  std::unique_ptr<tasks::EstimatorModel> mscn_model, lstm_model, preqr_model,
-      preqr_model_q;
+  std::unique_ptr<baselines::ConcatEncoder> lstm_bm, preqr_bm;
+  std::unique_ptr<tasks::PreqrEncoder> preqr_enc;
+  std::unique_ptr<tasks::EstimatorModel> mscn_model, lstm_model, preqr_model;
 
   for (const auto& wl : workloads) {
     if (wl.train != last_train) {
@@ -72,18 +71,6 @@ void Run() {
       preqr_model =
           std::make_unique<tasks::EstimatorModel>(preqr_bm.get(), popt);
       preqr_model->Fit(train_sqls, train_costs);
-
-      // Int8 quantized encode path (same frozen weights, int8 GEMM): its
-      // row quantifies the quantization cost on cost estimation.
-      tasks::PreqrEncoder::Options qopt;
-      qopt.use_int8 = true;
-      preqr_enc_q =
-          std::make_unique<tasks::PreqrEncoder>(s.model.get(), qopt);
-      preqr_bm_q = std::make_unique<baselines::ConcatEncoder>(
-          preqr_enc_q.get(), &bitmap);
-      preqr_model_q =
-          std::make_unique<tasks::EstimatorModel>(preqr_bm_q.get(), popt);
-      preqr_model_q->Fit(train_sqls, train_costs);
     }
 
     const auto eval_sqls = Sqls(*wl.eval);
@@ -102,17 +89,9 @@ void Run() {
     PrintQErrorRow("LSTMCost",
                    eval::ComputeQErrors(truths,
                                         lstm_model->PredictAll(eval_sqls)));
-    const eval::QErrorStats preqr_q_errors =
-        eval::ComputeQErrors(truths, preqr_model->PredictAll(eval_sqls));
-    PrintQErrorRow("PreQRCost", preqr_q_errors);
-    const eval::QErrorStats int8_q_errors =
-        eval::ComputeQErrors(truths, preqr_model_q->PredictAll(eval_sqls));
-    PrintQErrorRow("PreQRCost-int8", int8_q_errors);
-    const double bound = 1.5 * preqr_q_errors.median + 0.5;
-    std::printf("%-18s median %.2f vs float %.2f (bound %.2f): %s\n",
-                "int8-drift-check", int8_q_errors.median,
-                preqr_q_errors.median, bound,
-                int8_q_errors.median <= bound ? "PASS" : "FAIL");
+    PrintQErrorRow("PreQRCost",
+                   eval::ComputeQErrors(truths,
+                                        preqr_model->PredictAll(eval_sqls)));
   }
 }
 

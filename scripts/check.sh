@@ -7,7 +7,7 @@
 #   SKIP_POOL_DEBUG=1 scripts/check.sh  # skip the pool-poison stage
 #   SKIP_FUZZ=1 scripts/check.sh        # skip the sanitized fuzz stage
 #   SKIP_SERVE=1 scripts/check.sh       # skip the serving front-end stage
-#   SKIP_SIMD=1 scripts/check.sh        # skip the SIMD/quantization stage
+#   SKIP_SIMD=1 scripts/check.sh        # skip the SIMD/dispatch stage
 #   SKIP_PLAN=1 scripts/check.sh        # skip the planner/executor stage
 #
 # The TSAN stage rebuilds with -DSANITIZE=thread into build-tsan/ and runs
@@ -173,7 +173,7 @@ fi
 if [[ "${SKIP_SIMD:-0}" == "1" ]]; then
   echo "== SIMD stage skipped (SKIP_SIMD=1) =="
 else
-  echo "== SIMD: kernel dispatch parity under every impl + UBSan on the quant path =="
+  echo "== SIMD: kernel dispatch parity under every impl + UBSan on dispatch plumbing and deadline math =="
   # The kernel-parity suite under each forced impl: PREQR_KERNEL_IMPL must
   # actually steer dispatch, and the per-impl determinism contract must
   # hold whichever table is active. The encode suites re-run under the
@@ -185,7 +185,7 @@ else
   PREQR_KERNEL_IMPL=scalar ./build/tests/nn_ops_grad_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/batch_invariance_test
   # The schema cross-attention memo (fresh-versus-memo layer bits, reload
-  # and fine-tune freshness of the encoder's memo and int8 shadows) and the
+  # and fine-tune freshness of the encoder's memo) and the
   # encoder golden pins under each forced impl, plus the fused-forward
   # parity suite (fused Gemm epilogues, SoftmaxRows, Affine, residual
   # layer norm and attention against the composed ops, forward and
@@ -200,8 +200,9 @@ else
     PREQR_KERNEL_IMPL=$impl ./build/tests/kernel_dispatch_test \
       --gtest_filter='Avx2GemmContractTest.*'
   done
-  # UBSan over the int8 quantization path and the dispatch plumbing:
-  # rounding, packing, and the saturating deadline math must be UB-free.
+  # UBSan over the dispatch plumbing and the deadline math: table
+  # selection, the SIMD kernels' tail handling, the encode path under
+  # every table and the saturating deadline arithmetic must be UB-free.
   cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j --target kernel_dispatch_test \
     --target serving_test --target fuzz_stress_test

@@ -28,8 +28,8 @@ class TrmGLayer : public nn::Module {
   // masked layer norms throughout. Valid rows are bitwise the same example
   // run at B=1; pad rows come out exactly zero. Returns [B, T, d].
   // `schema_kv`, when given, must be ProjectSchemaKv(schema_nodes) built
-  // under the same kernel table and int8 mode; the cross attention then
-  // reads it instead of projecting the schema again (bitwise the same).
+  // under the same kernel table; the cross attention then reads it
+  // instead of projecting the schema again (bitwise the same).
   nn::Tensor ForwardBatch(const nn::Tensor& e_q,
                           const nn::Tensor& schema_nodes,
                           const std::vector<int>& lengths,
@@ -112,8 +112,6 @@ class PreqrModel : public nn::Module {
   std::vector<nn::Tensor> LastLayerParameters() const;   // Case 1
   std::vector<nn::Tensor> SchemaParameters() const;      // Case 2
   std::vector<nn::Tensor> InputParameters() const;       // Case 3
-  // The last Trm_g layer itself (int8 recalibration after fine-tuning).
-  const nn::Module& last_layer() const { return *layers_.back(); }
 
   const PreqrConfig& config() const { return config_; }
   const text::SqlTokenizer& tokenizer() const { return *tokenizer_; }

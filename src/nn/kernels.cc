@@ -222,31 +222,6 @@ void MatMulBackwardB(const float* a, const float* g, float* db, int m, int k,
               });
 }
 
-void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
-                     float w_scale, float* out, int m, int k, int n) {
-  // Rows are independent and the inner dot product is exact integer math,
-  // so any partition is bitwise-identical to the serial pass.
-  ParallelFor(0, m, GrainForCost(static_cast<int64_t>(k) * n),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t i = r0; i < r1; ++i) {
-                  const float sa = a_scale[static_cast<size_t>(i)];
-                  if (sa == 0.0f) continue;  // all-zero row stays zero
-                  const float scale = sa * w_scale;
-                  const int8_t* arow = aq + static_cast<size_t>(i) * k;
-                  float* orow = out + static_cast<size_t>(i) * n;
-                  for (int j = 0; j < n; ++j) {
-                    const int8_t* wrow = wt + static_cast<size_t>(j) * k;
-                    int32_t acc = 0;
-                    for (int kk = 0; kk < k; ++kk) {
-                      acc += static_cast<int32_t>(arow[kk]) *
-                             static_cast<int32_t>(wrow[kk]);
-                    }
-                    orow[j] = static_cast<float>(acc) * scale;
-                  }
-                }
-              });
-}
-
 void TransposeForward(const float* a, float* out, int m, int n) {
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {

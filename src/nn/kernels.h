@@ -93,18 +93,6 @@ void MatMulBackwardB(const float* a, const float* g, float* db, int m, int k,
 void TransposeForward(const float* a, float* out, int m, int n);
 void TransposeBackward(const float* g, float* da, int m, int n);
 
-// Int8 GEMM for the quantized no-grad encode path (src/nn/quant.{h,cc}):
-//   out[i,j] = a_scale[i] * w_scale * sum_k aq[i,k] * wt[j,k]
-// aq is the row-quantized activation [m, k] with one symmetric scale per
-// row; wt is the packed *transposed* int8 weight [n, k] with one scale per
-// tensor. Accumulation is exact int32 (127·127·k fits comfortably), and the
-// dequantization applies the same two float ops per element in every
-// implementation — so scalar and SIMD int8 GEMMs are bitwise identical.
-// Rows with a_scale[i] == 0 (all-zero activations, e.g. pad rows) are
-// skipped and their output rows stay zero. out must be zero-filled.
-void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
-                     float w_scale, float* out, int m, int k, int n);
-
 // --- Softmax / layer norm ------------------------------------------------
 // In-place softmax over the first `width` (>= 1) entries of `rows` rows
 // that start `ld` floats apart; entries past width are neither read nor

@@ -282,15 +282,6 @@ inline void LayerNormRow(const float* row, const float* gamma,
   }
 }
 
-inline int32_t HSumEpi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-  return _mm_cvtsi128_si32(s);
-}
-
 }  // namespace
 
 void Gemm(const float* a, size_t lda, const float* b, size_t ldb, float* out,
@@ -399,45 +390,6 @@ void MaskedLayerNormForward(const float* x, const float* residual,
                    d);
     }
   });
-}
-
-void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
-                     float w_scale, float* out, int m, int k, int n) {
-  // Integer accumulation is exact and order-free, so this is bitwise
-  // identical to the scalar Int8GemmForward — the dequantization applies
-  // the same two float ops to the same int32.
-  const int k16 = k & ~15;
-  ParallelFor(0, m, GrainForCost(static_cast<int64_t>(k) * n),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t i = r0; i < r1; ++i) {
-                  const float sa = a_scale[static_cast<size_t>(i)];
-                  if (sa == 0.0f) continue;  // all-zero row stays zero
-                  const float scale = sa * w_scale;
-                  const int8_t* arow = aq + static_cast<size_t>(i) * k;
-                  float* orow = out + static_cast<size_t>(i) * n;
-                  for (int j = 0; j < n; ++j) {
-                    const int8_t* wrow = wt + static_cast<size_t>(j) * k;
-                    __m256i acc8 = _mm256_setzero_si256();
-                    int kk = 0;
-                    for (; kk < k16; kk += 16) {
-                      const __m256i a16 = _mm256_cvtepi8_epi16(
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                              arow + kk)));
-                      const __m256i w16 = _mm256_cvtepi8_epi16(
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                              wrow + kk)));
-                      acc8 = _mm256_add_epi32(acc8,
-                                              _mm256_madd_epi16(a16, w16));
-                    }
-                    int32_t acc = HSumEpi32(acc8);
-                    for (; kk < k; ++kk) {
-                      acc += static_cast<int32_t>(arow[kk]) *
-                             static_cast<int32_t>(wrow[kk]);
-                    }
-                    orow[j] = static_cast<float>(acc) * scale;
-                  }
-                }
-              });
 }
 
 }  // namespace preqr::nn::kernels::avx2

@@ -2,7 +2,6 @@
 #define PREQR_NN_KERNELS_AVX2_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/kernels.h"  // GemmEpilogue
 
@@ -28,8 +27,6 @@ void MaskedLayerNormForward(const float* x, const float* residual,
                             const float* gamma, const float* beta, float eps,
                             float* out, float* xhat, float* inv_std, int bsz,
                             int t, int d, const int* lengths);
-void Int8GemmForward(const int8_t* aq, const float* a_scale, const int8_t* wt,
-                     float w_scale, float* out, int m, int k, int n);
 
 }  // namespace preqr::nn::kernels::avx2
 

@@ -27,7 +27,6 @@ const KernelTable kScalarTable = {
     &SoftmaxRows,
     &LayerNormForward,
     &MaskedLayerNormForward,
-    &Int8GemmForward,
 };
 
 #if defined(PREQR_HAVE_AVX2)
@@ -42,7 +41,6 @@ const KernelTable kAvx2Table = {
     &avx2::SoftmaxRows,
     &avx2::LayerNormForward,
     &avx2::MaskedLayerNormForward,
-    &avx2::Int8GemmForward,
 };
 #endif
 
@@ -61,7 +59,6 @@ const KernelTable kAvx512Table = {
     &avx512::SoftmaxRows,
     &avx2::LayerNormForward,
     &avx2::MaskedLayerNormForward,
-    &avx2::Int8GemmForward,
 };
 #endif
 

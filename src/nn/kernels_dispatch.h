@@ -2,7 +2,6 @@
 #define PREQR_NN_KERNELS_DISPATCH_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/kernels.h"  // GemmEpilogue
 
@@ -38,8 +37,6 @@ namespace preqr::nn::kernels {
 //     softmax and GELU run each element's avx2 operation sequence 16 lanes
 //     and 4 or 8 rows at a time; every other entry is the avx2 one. So the
 //     avx2 contract and golden pins carry over unchanged.
-//   * int8 GEMM — exact int32 accumulation; identical bits from every
-//     implementation.
 // Gemm's epilogue (kernels.h) is part of the contract: under every table,
 // Gemm with an epilogue returns exactly the bits of Gemm without one
 // followed by that table's separate Scale / AddBias / Gelu pass.
@@ -63,9 +60,6 @@ struct KernelTable {
                                  float eps, float* out, float* xhat,
                                  float* inv_std, int bsz, int t, int d,
                                  const int* lengths);
-  void (*Int8GemmForward)(const int8_t* aq, const float* a_scale,
-                          const int8_t* wt, float w_scale, float* out, int m,
-                          int k, int n);
 };
 
 // The candidate tables. Avx2Table() is null when the backend was not

@@ -112,7 +112,7 @@ class MultiHeadAttention : public Module {
   AttentionKv ProjectKv(const Tensor& kv) const;
   // The query half of Forward against already projected keys/values:
   // bitwise Forward(q, kv) whenever `heads` came from ProjectKv(kv) under
-  // the same kernel table and int8 mode.
+  // the same kernel table.
   Tensor Attend(const Tensor& q, const AttentionKv& heads,
                 const std::vector<int>& lengths = {}) const;
   // Masked self-attention over a padded batch [B, T, d]: example b attends

@@ -8,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
-#include "nn/quant.h"
 
 // Tape-wiring layer: every op here (1) validates shapes, (2) calls its
 // compute kernel from nn/kernels.h, and (3) — only when grad mode is on
@@ -65,16 +64,6 @@ void Wire(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> parents,
   out.impl()->requires_grad = true;
   out.impl()->parents = std::move(parents);
   out.impl()->grad_fn = std::move(grad_fn);
-}
-
-// The int8 shadow of weight `w` [k, n] when the quantized path applies:
-// inference-only (tape off), thread-opted-in via Int8Guard, and only for a
-// calibrated shadow whose shape still matches (a reloaded model swaps
-// shadows atomically with the float data under the service's encode lock).
-const quant::QuantizedWeight* Int8Shadow(const Tensor& w, int k, int n) {
-  if (GradMode::enabled() || !quant::Int8Enabled()) return nullptr;
-  const auto& qw = w.impl()->quant;
-  return qw != nullptr && qw->k == k && qw->n == n ? qw.get() : nullptr;
 }
 
 // Shared shape bookkeeping for the [B, T, ...] ops: validates the batch
@@ -276,16 +265,6 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias,
     }
   };
   const kernels::KernelTable& tab = kernels::Active();
-  if (const quant::QuantizedWeight* qw = Int8Shadow(w, k, n)) {
-    for_valid_rows([&](int r0, int rows) {
-      float* o = out.data() + static_cast<size_t>(r0) * n;
-      quant::Int8MatMulForward(x.data() + static_cast<size_t>(r0) * k, *qw, o,
-                               rows);
-      if (has_bias) tab.AddBiasForward(o, bias.data(), o, rows, n);
-      if (gelu) tab.GeluForward(o, o, static_cast<size_t>(rows) * n);
-    });
-    return out;  // the int8 path only runs with the tape off
-  }
   const bool tape = has_bias ? NeedsTape(x, w, bias) : NeedsTape(x, w);
   // Under the tape a GELU layer keeps its pre-activation for GeluBackward:
   // the Gemm stops at the bias and the GELU runs as a second pass.

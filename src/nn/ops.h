@@ -42,9 +42,7 @@ enum class Activation { kNone, kGelu };
 // exactly AddBias(MatMul(x, w), bias) (then Gelu). With `lengths`, x is a
 // padded [B, T, k] batch and only example b's first lengths[b] rows are
 // computed; pad rows come out exactly zero. Under the tape the
-// pre-activation is kept for GeluBackward. Under quant::Int8Guard (tape
-// off, calibrated w) the int8 GEMM runs first, then the bias and GELU
-// kernels.
+// pre-activation is kept for GeluBackward.
 Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias,
               Activation act = Activation::kNone,
               const std::vector<int>& lengths = {});

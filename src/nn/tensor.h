@@ -11,10 +11,6 @@
 
 namespace preqr::nn {
 
-namespace quant {
-struct QuantizedWeight;  // see nn/quant.h
-}  // namespace quant
-
 using Index = int64_t;
 using Shape = std::vector<int>;
 
@@ -62,11 +58,6 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   // Propagates this node's grad into the parents' grads.
   std::function<void(TensorImpl*)> grad_fn;
-  // Optional int8 shadow of a 2-D weight, attached by quant::CalibrateModule
-  // and consumed by the no-grad MatMul fast path when an Int8Guard is
-  // installed. Never written by ops; float `data` stays the source of truth
-  // (training, serialization, and recalibration all read it).
-  std::shared_ptr<quant::QuantizedWeight> quant;
 
   Index size() const {
     Index n = 1;

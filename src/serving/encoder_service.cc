@@ -606,9 +606,8 @@ void EncoderService::AttachModel(nn::Module* model) {
   std::lock_guard<std::mutex> lock(tenant->encode_mu);
   tenant->model = model;
   // The attached module may not be the weights the encoder was built
-  // against; dropping the encoder's memoized state (and, for int8
-  // encoders, re-running weight calibration) keeps it consistent with
-  // whatever is now behind it.
+  // against; dropping the encoder's memoized state keeps it consistent
+  // with whatever is now behind it.
   tenant->encoder->InvalidateCache();
 }
 

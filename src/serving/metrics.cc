@@ -62,7 +62,6 @@ EncodePathStats EncodePathSink::Stats() const {
   s.padded_batches = padded_batches_.value();
   s.padded_slots = padded_slots_.value();
   s.valid_tokens = valid_tokens_.value();
-  s.int8_encodes = int8_encodes_.value();
   return s;
 }
 
@@ -91,12 +90,6 @@ void RecordPaddedBatch(int batch_size, int t_max, uint64_t valid_tokens) {
   EncodePathSink* sink =
       t_encode_sink != nullptr ? t_encode_sink : &Registry().sink;
   sink->RecordPaddedBatch(batch_size, t_max, valid_tokens);
-}
-
-void RecordInt8Encode() {
-  EncodePathSink* sink =
-      t_encode_sink != nullptr ? t_encode_sink : &Registry().sink;
-  sink->RecordInt8Encode();
 }
 
 EncodePathStats GlobalEncodePathStats() { return Registry().sink.Stats(); }
@@ -315,12 +308,10 @@ std::string ServingMetrics::DumpText() const {
   emit_value("encode_padded_waste_pct_mean", waste.mean());
   emit_value("encode_padded_waste_pct_p99", waste.Percentile(0.99));
   // Which kernel backend the process is running (info-style metric: the
-  // value is always 1, the label carries the answer) and how many of this
-  // service's encoder calls took the int8 quantized GEMM path.
+  // value is always 1, the label carries the answer).
   std::snprintf(line, sizeof(line), "serving_kernel_impl_info{impl=\"%s\"} 1\n",
                 nn::kernels::ActiveImplName());
   out += line;
-  emit_u64("encode_int8_encodes_total", enc.int8_encodes);
   return out;
 }
 

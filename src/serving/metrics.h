@@ -70,7 +70,6 @@ struct EncodePathStats {
   uint64_t padded_batches = 0;   // padded [B, T, d] forwards executed
   uint64_t padded_slots = 0;     // B * T_max summed over those forwards
   uint64_t valid_tokens = 0;     // sum of example lengths over those forwards
-  uint64_t int8_encodes = 0;     // encoder calls run with the int8 GEMM path
   // valid_tokens / padded_slots — the fraction of batched compute that
   // touched real rows (1.0 when no padded batch ran yet).
   double Occupancy() const;
@@ -84,7 +83,6 @@ class EncodePathSink {
  public:
   void RecordFallback() { fallbacks_.Increment(); }
   void RecordPaddedBatch(int batch_size, int t_max, uint64_t valid_tokens);
-  void RecordInt8Encode() { int8_encodes_.Increment(); }
   EncodePathStats Stats() const;
   const Histogram& padded_waste_pct() const { return padded_waste_pct_; }
 
@@ -93,7 +91,6 @@ class EncodePathSink {
   Counter padded_batches_;
   Counter padded_slots_;
   Counter valid_tokens_;
-  Counter int8_encodes_;
   // Padded-waste percent (100 * pad slots / total slots) per batch.
   Histogram padded_waste_pct_{1.0, 2.0, 9};
 };
@@ -220,9 +217,6 @@ void RecordEncodeFallback(const std::string& error);
 // Records one padded [B, T_max] batch carrying `valid_tokens` = sum_i T_i
 // real rows; feeds the padded-waste histogram of the active sink.
 void RecordPaddedBatch(int batch_size, int t_max, uint64_t valid_tokens);
-// Counts one encoder call that opted into the int8 quantized GEMM path
-// (tasks::PreqrEncoder with Options::use_int8, inference encodes only).
-void RecordInt8Encode();
 // The process-global registry's view (unscoped records only).
 EncodePathStats GlobalEncodePathStats();
 // Padded-waste percent (100 * pad slots / total slots) per recorded batch.

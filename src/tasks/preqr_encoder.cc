@@ -8,7 +8,6 @@
 
 #include "automaton/symbol.h"
 #include "nn/ops.h"
-#include "nn/quant.h"
 #include "serving/metrics.h"
 
 namespace preqr::tasks {
@@ -18,26 +17,19 @@ PreqrEncoder::PreqrEncoder(core::PreqrModel* model)
 
 PreqrEncoder::PreqrEncoder(core::PreqrModel* model, Options options)
     : model_(model),
-      use_int8_(options.use_int8),
       recent_misses_(options.cache_capacity),
       prefix_cache_(options.cache_capacity, options.cache_shards) {
-  // Calibrate before anything encodes: shadows are inert until a thread
-  // installs an Int8Guard, so the schema encoding below stays float.
-  if (use_int8_) nn::quant::CalibrateModule(*model_);
   EncodeSchema();
 }
 
 void PreqrEncoder::BeginStep(bool train) {
   // The schema branch is below the fine-tuned layer boundary, so it stays
-  // frozen; only the last layer's memo and shadows can go stale.
+  // frozen; only the last layer's memo can go stale.
   if (train) last_layer_stale_ = fine_tuned_ = true;
 }
 
 void PreqrEncoder::InvalidateCache() {
   prefix_cache_.Clear();
-  // Re-quantize from the new float weights so the int8 shadows never serve
-  // stale values after a reload / further pre-training.
-  if (use_int8_) nn::quant::CalibrateModule(*model_);
   EncodeSchema();
 }
 
@@ -50,14 +42,7 @@ void PreqrEncoder::EncodeSchema() {
 
 void PreqrEncoder::ProjectSchemaKv() {
   last_layer_stale_ = false;
-  {
-    nn::quant::Int8Guard float_kv(false);
-    schema_kv_ = model_->ProjectSchemaKv(schema_);
-  }
-  if (use_int8_) {
-    nn::quant::Int8Guard int8_kv(true);
-    schema_kv_int8_ = model_->ProjectSchemaKv(schema_);
-  }
+  schema_kv_ = model_->ProjectSchemaKv(schema_);
 }
 
 void PreqrEncoder::PrepareLastLayer(bool train) {
@@ -65,14 +50,12 @@ void PreqrEncoder::PrepareLastLayer(bool train) {
     last_layer_stale_ = fine_tuned_ = true;
   } else if (last_layer_stale_) {
     // The frozen layers re-project to the same bits; only the last moved.
-    if (use_int8_) nn::quant::CalibrateModule(model_->last_layer());
     ProjectSchemaKv();
   }
 }
 
 const std::vector<nn::AttentionKv>* PreqrEncoder::SchemaKv() const {
-  const auto& kv = nn::quant::Int8Enabled() ? schema_kv_int8_ : schema_kv_;
-  return kv.empty() ? nullptr : &kv;
+  return schema_kv_.empty() ? nullptr : &schema_kv_;
 }
 
 PreqrEncoder::CachedQuery PreqrEncoder::ZeroEntry() const {
@@ -160,14 +143,8 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
     uint64_t valid_tokens = 0;
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
     serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
-    nn::Tensor prefixes;
-    {
-      // Train-mode misses too: the cache serves this prefix to later
-      // inference encodes, so an int8 encoder always computes it under
-      // int8 and its encodes never depend on which mode missed first.
-      nn::quant::Int8Guard int8(use_int8_);
-      prefixes = model_->EncodePrefixBatch(batch, schema_, SchemaKv());
-    }
+    const nn::Tensor prefixes =
+        model_->EncodePrefixBatch(batch, schema_, SchemaKv());
     // Slice each example's valid rows back out (tape-free: the cached
     // prefix never carries autograd history).
     nn::NoGradGuard no_grad;
@@ -312,16 +289,6 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
 std::vector<StatusOr<nn::Tensor>> PreqrEncoder::EncodeBatch(
     const std::vector<std::string>& sqls, bool train, bool zero_fallback) {
   PrepareLastLayer(train);
-  // Inference batches opt the whole encode (the last layer and the read-out
-  // below) into the int8 path; frozen prefixes follow use_int8_ in both
-  // modes (ComputeQueriesBatched). The guard is thread-local and
-  // every op dispatches on this thread — kernels only fan *loops* out to
-  // the pool — so the switch cannot leak into unrelated work.
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train && use_int8_) {
-    int8.emplace(true);
-    serving::RecordInt8Encode();
-  }
   model_->set_train(train);
   auto looked_up = Lookup(sqls);
   std::optional<CachedQuery> zero;  // built on the first fallback
@@ -389,14 +356,7 @@ nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
 nn::Tensor PreqrEncoder::EncodeSequence(const std::string& sql, bool train) {
   PrepareLastLayer(train);
   std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) {
-      int8.emplace(true);
-      serving::RecordInt8Encode();
-    }
-  }
+  if (!train) no_grad.emplace();
   model_->set_train(train);
   auto cached = std::move(Lookup({sql})[0]);
   if (!cached.ok()) serving::RecordEncodeFallback(cached.status().ToString());

@@ -39,15 +39,6 @@ class PreqrEncoder : public baselines::QueryEncoder,
     // Total frozen-prefix entries held across all shards.
     size_t cache_capacity = 4096;
     int cache_shards = 8;
-    // Run inference (train=false) encodes through the int8 quantized GEMM
-    // path: Linear weights get per-tensor symmetric int8 shadows at
-    // construction and on every InvalidateCache (i.e. after each model
-    // reload), and the last layer's again after fine-tuning; activations
-    // quantize dynamically per row. The cached frozen prefixes are int8 in
-    // train mode too, so an encode never depends on which mode missed
-    // first. Training's last layer and the one-time schema encoding stay
-    // float. See nn/quant.h.
-    bool use_int8 = false;
   };
 
   explicit PreqrEncoder(core::PreqrModel* model);
@@ -82,8 +73,6 @@ class PreqrEncoder : public baselines::QueryEncoder,
   // The wrapped model (non-owned) — what AttachModel/RegisterTenant want
   // when this encoder backs a serving tenant.
   core::PreqrModel* model() const { return model_; }
-  // Whether inference encodes run through the int8 quantized GEMM path.
-  bool use_int8() const { return use_int8_; }
   // BeginStep(true) marks the last layer's memoized state stale (see
   // PrepareLastLayer); train-mode encodes do the same.
   void BeginStep(bool train) override;
@@ -147,31 +136,24 @@ class PreqrEncoder : public baselines::QueryEncoder,
   CachedQuery ZeroEntry() const;
   // Re-encodes schema_, then ProjectSchemaKv().
   void EncodeSchema();
-  // Projects every layer's schema keys/values from schema_: float ones, and
-  // for int8 encoders int8 ones too (built under an Int8Guard).
+  // Projects every layer's schema keys/values from schema_.
   void ProjectSchemaKv();
   // Called at the top of every encode. A train-mode encode marks the last
-  // layer stale; an inference encode of a stale layer first re-quantizes
-  // it (int8 encoders) and re-projects the schema keys/values from the
-  // fine-tuned weights.
+  // layer stale; an inference encode of a stale layer first re-projects
+  // the schema keys/values from the fine-tuned weights.
   void PrepareLastLayer(bool train);
-  // The schema keys/values matching the calling thread's int8 mode (null
-  // when the schema branch is off).
+  // schema_kv_, or null when the schema branch is off.
   const std::vector<nn::AttentionKv>* SchemaKv() const;
 
   core::PreqrModel* model_;
-  bool use_int8_ = false;
   nn::Tensor schema_;  // detached schema node encodings
   // Per Trm_g layer, the cross-attention keys/values of schema_: the query
   // never changes them, so they are projected once, not once per encode.
-  // Float encodes read schema_kv_; int8 inference encodes read
-  // schema_kv_int8_ (int8 encoders only). Train-mode last-layer forwards
-  // project under the tape instead, so wk/wv still train.
+  // Train-mode last-layer forwards project under the tape instead, so
+  // wk/wv still train.
   std::vector<nn::AttentionKv> schema_kv_;
-  std::vector<nn::AttentionKv> schema_kv_int8_;
   // Set by fine-tuning (BeginStep(true), train-mode encodes): the last
-  // layer's weights may have moved since its memo and int8 shadows were
-  // built.
+  // layer's weights may have moved since its memo was built.
   bool last_layer_stale_ = false;
   // Set by the same calls, never cleared (InvalidateCache included): the
   // encoder fine-tunes, so prefix_cache_ keeps every prefix it computes.

@@ -7,9 +7,8 @@
 // path reproduces every one of them exactly. The first pin forces the
 // scalar kernel table so it does not depend on the host's SIMD support; the
 // second pins the same corpus under the AVX2 table (the serving hot path)
-// plus the int8 inference embedding, and skips on hosts without AVX2. A
-// third test replays the AVX2 pins under the AVX-512 table, which must
-// match them bit for bit.
+// and skips on hosts without AVX2. A third test replays the AVX2 pins under
+// the AVX-512 table, which must match them bit for bit.
 //
 // Regenerate (only legitimate after an intentional numerics change):
 //   PREQR_GOLDEN_REGEN=1 ./build/tests/encoder_golden_test
@@ -90,23 +89,15 @@ struct GoldenRow {
   uint64_t vec_hash = 0;        // TryEncodeVector(sql, false)
   uint64_t train_vec_hash = 0;  // TryEncodeVector(sql, true)
   uint64_t grad_hash = 0;       // last-layer grads of Sum(v*v)
-  uint64_t int8_vec_hash = 0;   // int8 encoder's TryEncodeVector(sql, false)
 };
 
-// Hashes every corpus query's encode record; with `with_int8`, an int8
-// encoder over the same model also records its inference embedding.
-std::vector<GoldenRow> ComputeRows(const Env& env, bool with_int8) {
+// Hashes every corpus query's encode record.
+std::vector<GoldenRow> ComputeRows(const Env& env) {
   core::PreqrModel model(core::PreqrConfig(), env.tokenizer.get(), &env.fa,
                          &env.graph, 29);
   const std::vector<nn::Tensor> params = model.LastLayerParameters();
   PreqrEncoder infer(&model);
   PreqrEncoder train(&model);  // its own cache: computes every prefix again
-  std::unique_ptr<PreqrEncoder> int8;
-  if (with_int8) {
-    PreqrEncoder::Options options;
-    options.use_int8 = true;
-    int8 = std::make_unique<PreqrEncoder>(&model, options);
-  }
   std::vector<GoldenRow> rows;
   for (const auto& sql : env.corpus) {
     GoldenRow row;
@@ -120,11 +111,6 @@ std::vector<GoldenRow> ComputeRows(const Env& env, bool with_int8) {
     }
     row.ok = 1;
     row.vec_hash = HashFloats(v.value().vec());
-    if (int8) {
-      auto q = int8->TryEncodeVector(sql, /*train=*/false);
-      EXPECT_TRUE(q.ok()) << sql;
-      if (q.ok()) row.int8_vec_hash = HashFloats(q.value().vec());
-    }
     for (auto p : params) p.ZeroGrad();
     auto t = train.TryEncodeVector(sql, /*train=*/true);
     EXPECT_TRUE(t.ok()) << sql;
@@ -144,9 +130,8 @@ std::vector<GoldenRow> ComputeRows(const Env& env, bool with_int8) {
   return rows;
 }
 
-// A golden file holds one line per query: five hex/decimal columns, plus
-// the int8 hash as a sixth when the file pins the int8 path.
-std::vector<GoldenRow> LoadGolden(const char* path, bool with_int8) {
+// A golden file holds one line per query: five hex/decimal columns.
+std::vector<GoldenRow> LoadGolden(const char* path) {
   std::vector<GoldenRow> rows;
   FILE* f = std::fopen(path, "r");
   if (f == nullptr) return rows;
@@ -156,26 +141,20 @@ std::vector<GoldenRow> LoadGolden(const char* path, bool with_int8) {
                      " %" SCNx64,
                      &r.sql_hash, &r.ok, &r.vec_hash, &r.train_vec_hash,
                      &r.grad_hash) == 5) {
-    if (with_int8 && std::fscanf(f, " %" SCNx64, &r.int8_vec_hash) != 1) {
-      break;
-    }
     rows.push_back(r);
   }
   std::fclose(f);
   return rows;
 }
 
-void WriteGolden(const char* path, const std::vector<GoldenRow>& rows,
-                 bool with_int8) {
+void WriteGolden(const char* path, const std::vector<GoldenRow>& rows) {
   FILE* f = std::fopen(path, "w");
   ASSERT_NE(f, nullptr) << "cannot write " << path;
   for (const auto& r : rows) {
     std::fprintf(f,
                  "%016" PRIx64 " %" PRIu64 " %016" PRIx64 " %016" PRIx64
-                 " %016" PRIx64,
+                 " %016" PRIx64 "\n",
                  r.sql_hash, r.ok, r.vec_hash, r.train_vec_hash, r.grad_hash);
-    if (with_int8) std::fprintf(f, " %016" PRIx64, r.int8_vec_hash);
-    std::fprintf(f, "\n");
   }
   std::fclose(f);
 }
@@ -187,17 +166,17 @@ bool Regenerating() {
 
 // Encodes the corpus under the active kernel table and compares (or, with
 // PREQR_GOLDEN_REGEN=1, rewrites) the pinned records in `path`.
-void CheckGolden(const char* path, bool with_int8) {
+void CheckGolden(const char* path) {
   const Env env;
   ASSERT_EQ(env.corpus.size(), 32u);
-  const auto rows = ComputeRows(env, with_int8);
+  const auto rows = ComputeRows(env);
 
   if (Regenerating()) {
-    WriteGolden(path, rows, with_int8);
+    WriteGolden(path, rows);
     GTEST_SKIP() << "regenerated " << path;
   }
 
-  const auto golden = LoadGolden(path, with_int8);
+  const auto golden = LoadGolden(path);
   ASSERT_EQ(golden.size(), rows.size())
       << "golden file " << path
       << " missing or stale; regenerate with PREQR_GOLDEN_REGEN=1 only if "
@@ -211,7 +190,6 @@ void CheckGolden(const char* path, bool with_int8) {
     EXPECT_EQ(rows[i].vec_hash, golden[i].vec_hash);
     EXPECT_EQ(rows[i].train_vec_hash, golden[i].train_vec_hash);
     EXPECT_EQ(rows[i].grad_hash, golden[i].grad_hash);
-    EXPECT_EQ(rows[i].int8_vec_hash, golden[i].int8_vec_hash);
     ok += static_cast<int>(rows[i].ok);
   }
   // Exactly the malformed query gets a Status.
@@ -220,15 +198,15 @@ void CheckGolden(const char* path, bool with_int8) {
 
 TEST(EncoderGoldenTest, EncodeReproducesPinnedBitsAndGradients) {
   ASSERT_TRUE(nn::kernels::SetActiveImpl("scalar"));
-  CheckGolden(PREQR_GOLDEN_FILE, /*with_int8=*/false);
+  CheckGolden(PREQR_GOLDEN_FILE);
 }
 
-// The serving hot path: the AVX2 table, float and int8 inference encodes.
+// The serving hot path: the AVX2 table.
 TEST(EncoderGoldenTest, Avx2EncodeReproducesPinnedBits) {
   if (!nn::kernels::SetActiveImpl("avx2")) {
     GTEST_SKIP() << "AVX2+FMA not available on this host";
   }
-  CheckGolden(PREQR_GOLDEN_AVX2_FILE, /*with_int8=*/true);
+  CheckGolden(PREQR_GOLDEN_AVX2_FILE);
 }
 
 // The AVX-512 table is bitwise identical to AVX2 by contract, so it must
@@ -238,7 +216,7 @@ TEST(EncoderGoldenTest, Avx512ReproducesAvx2PinnedBits) {
     GTEST_SKIP() << "AVX-512F not available on this host";
   }
   if (Regenerating()) GTEST_SKIP() << "the AVX2 pins regenerate under avx2";
-  CheckGolden(PREQR_GOLDEN_AVX2_FILE, /*with_int8=*/true);
+  CheckGolden(PREQR_GOLDEN_AVX2_FILE);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Runtime kernel-dispatch tests: impl selection, scalar-vs-AVX2 parity,
-// AVX-512-vs-AVX2 bitwise parity, the per-impl determinism contract (same
-// impl => bitwise-stable across batch compositions), and the int8
-// quantized GEMM path.
+// AVX-512-vs-AVX2 bitwise parity, and the per-impl determinism contract
+// (same impl => bitwise-stable across batch compositions).
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -18,7 +17,6 @@
 #include "nn/kernels_dispatch.h"
 #include "nn/module.h"
 #include "nn/ops.h"
-#include "nn/quant.h"
 #include "nn/tensor.h"
 
 namespace preqr::nn {
@@ -105,7 +103,6 @@ TEST(KernelDispatchTest, EnvSelectionHonored) {
 TEST(KernelDispatchTest, ScalarTableAlwaysPresent) {
   ASSERT_STREQ(ScalarTable().name, "scalar");
   ASSERT_NE(ScalarTable().Gemm, nullptr);
-  ASSERT_NE(ScalarTable().Int8GemmForward, nullptr);
 }
 
 TEST(KernelDispatchTest, SetActiveImplRoundTrips) {
@@ -496,7 +493,6 @@ TEST_F(Avx512ParityTest, ReusesAvx2EntriesItDoesNotReplace) {
   EXPECT_EQ(w.SigmoidForward, n.SigmoidForward);
   EXPECT_EQ(w.LayerNormForward, n.LayerNormForward);
   EXPECT_EQ(w.MaskedLayerNormForward, n.MaskedLayerNormForward);
-  EXPECT_EQ(w.Int8GemmForward, n.Int8GemmForward);
 }
 
 // GEMM accumulates into `out`, so it starts from random values, not zeros.
@@ -687,156 +683,6 @@ TEST_F(Avx512ParityTest, GeluMatchesAvx2Bitwise) {
   Avx512Table()->GeluForward(x.data(), w.data(), x.size());
   Avx2Table()->GeluForward(x.data(), ref.data(), x.size());
   EXPECT_TRUE(BitwiseEqual(w, ref));
-}
-
-// --- int8 path -------------------------------------------------------------
-
-TEST(Int8QuantTest, GuardNestsAndRestores) {
-  EXPECT_FALSE(quant::Int8Enabled());
-  {
-    quant::Int8Guard outer(true);
-    EXPECT_TRUE(quant::Int8Enabled());
-    {
-      quant::Int8Guard inner(false);
-      EXPECT_FALSE(quant::Int8Enabled());
-    }
-    EXPECT_TRUE(quant::Int8Enabled());
-  }
-  EXPECT_FALSE(quant::Int8Enabled());
-}
-
-TEST(Int8QuantTest, QuantizeWeightRoundTripsWithinOneStep) {
-  Rng rng(31);
-  Tensor w = Tensor::Randn({24, 16}, rng, 0.5f, false);
-  auto qw = quant::QuantizeWeight(w);
-  ASSERT_EQ(qw->k, 24);
-  ASSERT_EQ(qw->n, 16);
-  ASSERT_GT(qw->scale, 0.0f);
-  // Dequantized entries differ from the float weight by at most half a step.
-  for (int kk = 0; kk < qw->k; ++kk)
-    for (int j = 0; j < qw->n; ++j) {
-      const float deq = float(qw->wt[size_t(j) * qw->k + kk]) * qw->scale;
-      EXPECT_NEAR(deq, w.at(kk * qw->n + j), 0.5f * qw->scale + 1e-7f);
-    }
-}
-
-TEST(Int8QuantTest, AllZeroWeightGetsZeroScale) {
-  Tensor w = Tensor::Zeros({8, 8});
-  auto qw = quant::QuantizeWeight(w);
-  EXPECT_EQ(qw->scale, 0.0f);
-  std::vector<float> a = RandVec(3 * 8, 32);
-  std::vector<float> out(3 * 8, 0.0f);
-  quant::Int8MatMulForward(a.data(), *qw, out.data(), 3);
-  for (float v : out) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(Int8QuantTest, Int8GemmBitwiseIdenticalAcrossImpls) {
-  if (!Avx2Supported()) GTEST_SKIP() << "no AVX2+FMA on this host";
-  const int m = 6, k = 41, n = 23;  // odd k exercises the madd tail
-  Rng rng(33);
-  std::vector<int8_t> aq(size_t(m) * k), wt(size_t(n) * k);
-  for (auto& x : aq) x = int8_t(rng.NextInt(-127, 128));
-  for (auto& x : wt) x = int8_t(rng.NextInt(-127, 128));
-  auto a_scale = RandVec(m, 34, 0.01f);
-  a_scale[2] = 0.0f;  // a skipped (all-zero activation) row
-  for (auto& s : a_scale) s = std::abs(s);
-  std::vector<float> s(size_t(m) * n, 0.0f), v(size_t(m) * n, 0.0f);
-  ScalarTable().Int8GemmForward(aq.data(), a_scale.data(), wt.data(), 0.004f,
-                                s.data(), m, k, n);
-  Avx2Table()->Int8GemmForward(aq.data(), a_scale.data(), wt.data(), 0.004f,
-                               v.data(), m, k, n);
-  EXPECT_TRUE(BitwiseEqual(v, s));
-  for (int j = 0; j < n; ++j) EXPECT_EQ(s[size_t(2) * n + j], 0.0f);
-}
-
-TEST(Int8QuantTest, Int8MatMulTracksFloatWithinQuantError) {
-  const int m = 8, k = 64, n = 32;
-  Rng rng(35);
-  Tensor w = Tensor::Randn({k, n}, rng, 0.3f, false);
-  auto qw = quant::QuantizeWeight(w);
-  auto a = RandVec(size_t(m) * k, 36, 1.5f);
-  std::vector<float> fref(size_t(m) * n, 0.0f), qout(size_t(m) * n, 0.0f);
-  MatMulVia(ScalarTable(), a.data(), w.data(), fref.data(), m, k, n);
-  quant::Int8MatMulForward(a.data(), *qw, qout.data(), m);
-  // Relative L2 drift bound — int8 symmetric quant at these shapes lands
-  // well under 2%.
-  double num = 0.0, den = 0.0;
-  for (size_t i = 0; i < fref.size(); ++i) {
-    const double d = double(qout[i]) - double(fref[i]);
-    num += d * d;
-    den += double(fref[i]) * double(fref[i]);
-  }
-  ASSERT_GT(den, 0.0);
-  EXPECT_LT(std::sqrt(num / den), 0.02);
-}
-
-TEST(Int8QuantTest, ZeroActivationRowsStayExactlyZero) {
-  const int m = 4, k = 32, n = 16;
-  Rng rng(37);
-  Tensor w = Tensor::Randn({k, n}, rng, 0.4f, false);
-  auto qw = quant::QuantizeWeight(w);
-  auto a = RandVec(size_t(m) * k, 38);
-  std::fill(a.begin() + 1 * k, a.begin() + 2 * k, 0.0f);  // pad row
-  std::vector<float> out(size_t(m) * n, 0.0f);
-  quant::Int8MatMulForward(a.data(), *qw, out.data(), m);
-  for (int j = 0; j < n; ++j) EXPECT_EQ(out[size_t(1) * n + j], 0.0f);
-  for (int j = 0; j < n; ++j) EXPECT_NE(out[size_t(0) * n + j], 0.0f);
-}
-
-TEST(Int8QuantTest, CalibrateModuleAttachesAndClearsShadows) {
-  Rng rng(39);
-  Linear lin(24, 12, rng);
-  const int attached = quant::CalibrateModule(lin);
-  EXPECT_GE(attached, 1);
-  bool found = false;
-  for (const auto& [name, p] : lin.NamedParameters())
-    if (p.ndim() == 2) {
-      EXPECT_NE(p.impl()->quant, nullptr) << name;
-      found = true;
-    }
-  EXPECT_TRUE(found);
-  quant::ClearCalibration(lin);
-  for (const auto& [name, p] : lin.NamedParameters())
-    EXPECT_EQ(p.impl()->quant, nullptr) << name;
-}
-
-// End to end through the op layer: MatMul under Int8Guard + no-grad takes
-// the quantized path; with the tape on it must NOT (gradients never see
-// int8 state).
-TEST(Int8QuantTest, OpsMatMulUsesInt8OnlyWhenEligible) {
-  Rng rng(40);
-  const int m = 5, k = 48, n = 24;
-  Tensor a = Tensor::Randn({m, k}, rng, 1.0f, false);
-  Tensor w = Tensor::Randn({k, n}, rng, 0.3f, false);
-  std::vector<float> fref;
-  {
-    NoGradGuard ng;
-    fref = MatMul(a, w).vec();
-  }
-  w.impl()->quant = quant::QuantizeWeight(w);
-  std::vector<float> qvec;
-  {
-    NoGradGuard ng;
-    quant::Int8Guard q(true);
-    qvec = MatMul(a, w).vec();
-  }
-  // Quantized result differs from float (proves the path switched) but
-  // stays close.
-  EXPECT_FALSE(BitwiseEqual(qvec, fref));
-  EXPECT_LT(MaxRelDiff(qvec, fref), 0.05f);
-  // Direct Int8MatMulForward must agree bitwise with the op-layer path.
-  std::vector<float> direct(size_t(m) * n, 0.0f);
-  quant::Int8MatMulForward(a.data(), *w.impl()->quant, direct.data(), m);
-  EXPECT_TRUE(BitwiseEqual(qvec, direct));
-  // Tape on: the float path runs even with the guard installed.
-  Tensor wg = Tensor::Randn({k, n}, rng, 0.3f, true);
-  wg.impl()->quant = quant::QuantizeWeight(wg);
-  quant::Int8Guard q(true);
-  Tensor out = MatMul(a, wg);
-  std::vector<float> fref2(size_t(m) * n, 0.0f);
-  MatMulVia(kernels::Active(), a.data(), wg.data(), fref2.data(), m, k,
-                                  n);
-  EXPECT_TRUE(BitwiseEqual(out.vec(), fref2));
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // The schema cross-attention memo: a TrmGLayer fed precomputed schema
 // keys/values must reproduce the layer's own projection bit for bit under
-// every kernel table and int8 mode, and a PreqrEncoder's memoized state
-// (keys/values and int8 shadows) must track the weights it serves — after
-// a hot reload and after fine-tuning steps — so its encodes stay bitwise
-// equal to a freshly built encoder over the same weights. The frozen-prefix
-// memo keeps every miss once an encoder has fine-tuned and, before that, a
-// query's prefix only from its second miss on; filling the memo or not
-// never changes a bit.
+// every kernel table, and a PreqrEncoder's memoized keys/values must track
+// the weights it serves — after a hot reload and after fine-tuning steps —
+// so its encodes stay bitwise equal to a freshly built encoder over the
+// same weights. The frozen-prefix memo keeps every miss once an encoder has
+// fine-tuned and, before that, a query's prefix only from its second miss
+// on; filling the memo or not never changes a bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,7 +22,6 @@
 #include "nn/kernels_dispatch.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "nn/serialize.h"
 #include "schema/schema_graph.h"
 #include "serving/encoder_service.h"
@@ -90,29 +88,18 @@ TEST(SchemaKvMemoTest, TrmGLayerMemoMatchesFreshProjectionBitwise) {
   }
   const nn::Tensor e_q = nn::Tensor::FromData({bsz, t, d}, std::move(x));
   const nn::Tensor schema = SparseRandom(n, d, 47);
-  nn::quant::CalibrateModule(layer);
 
   nn::NoGradGuard no_grad;
   for (const char* impl : Impls()) {
     ASSERT_TRUE(nn::kernels::SetActiveImpl(impl));
-    nn::Tensor float_out;
-    for (const bool int8 : {false, true}) {
-      SCOPED_TRACE(std::string(impl) + (int8 ? " int8" : " float"));
-      nn::quant::Int8Guard guard(int8);
-      const nn::Tensor fresh = layer.ForwardBatch(e_q, schema, lengths);
-      const nn::AttentionKv kv = layer.ProjectSchemaKv(schema);
-      const nn::Tensor memo = layer.ForwardBatch(e_q, schema, lengths, &kv);
-      EXPECT_TRUE(SameBits(fresh, memo));
-      // Reusing the memo for a second batch changes nothing either.
-      EXPECT_TRUE(
-          SameBits(fresh, layer.ForwardBatch(e_q, schema, lengths, &kv)));
-      if (!int8) {
-        float_out = fresh;
-      } else {
-        EXPECT_FALSE(SameBits(fresh, float_out))
-            << "the int8 path never engaged";
-      }
-    }
+    SCOPED_TRACE(impl);
+    const nn::Tensor fresh = layer.ForwardBatch(e_q, schema, lengths);
+    const nn::AttentionKv kv = layer.ProjectSchemaKv(schema);
+    const nn::Tensor memo = layer.ForwardBatch(e_q, schema, lengths, &kv);
+    EXPECT_TRUE(SameBits(fresh, memo));
+    // Reusing the memo for a second batch changes nothing either.
+    EXPECT_TRUE(
+        SameBits(fresh, layer.ForwardBatch(e_q, schema, lengths, &kv)));
   }
 }
 
@@ -146,46 +133,32 @@ const Env& E() {
   return *env;
 }
 
-PreqrEncoder::Options EncoderOptions(bool int8) {
-  PreqrEncoder::Options options;
-  options.use_int8 = int8;
-  return options;
-}
-
-// Every corpus query through `served` equals a fresh encoder of the same
-// kind over `model`, bit for bit. `served` encodes first: a fresh int8
-// encoder re-calibrates the shared model's shadows in its ctor.
-void ExpectMatchesFreshEncoder(PreqrEncoder& served, core::PreqrModel* model,
-                               bool int8) {
+// Every corpus query through `served` equals a fresh encoder over `model`,
+// bit for bit.
+void ExpectMatchesFreshEncoder(PreqrEncoder& served, core::PreqrModel* model) {
   const auto got = served.TryEncodeVectorBatch(E().corpus, /*train=*/false);
-  PreqrEncoder fresh(model, EncoderOptions(int8));
+  PreqrEncoder fresh(model);
   const auto want = fresh.TryEncodeVectorBatch(E().corpus, /*train=*/false);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(got[i].ok() && want[i].ok()) << E().corpus[i];
     EXPECT_TRUE(SameBits(got[i].value(), want[i].value()))
-        << (int8 ? "int8 " : "float ") << "encode differs from a fresh "
-        << "encoder: " << E().corpus[i];
+        << "encode differs from a fresh encoder: " << E().corpus[i];
   }
 }
 
-class EncoderMemoTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EncoderMemoTest, ReloadMatchesFreshEncoder) {
-  const bool int8 = GetParam();
-  // One file per parameter: ctest runs the two instances concurrently.
-  const std::string path = test::TempPath("schema_kv_memo_reload_") +
-                           (int8 ? "int8" : "float") + ".prm";
+TEST(EncoderMemoTest, ReloadMatchesFreshEncoder) {
+  const std::string path = test::TempPath("schema_kv_memo_reload.prm");
   ASSERT_TRUE(nn::SaveModule(*E().MakeModel(53), path).ok());
 
   auto served = E().MakeModel(29);
-  PreqrEncoder encoder(served.get(), EncoderOptions(int8));
+  PreqrEncoder encoder(served.get());
   serving::EncoderService service(&encoder);
   service.AttachModel(served.get());
   ASSERT_TRUE(service.Encode(E().corpus.front()).ok());  // warm the memo
   ASSERT_TRUE(service.ReloadModel(path).ok());
   std::remove(path.c_str());
-  ExpectMatchesFreshEncoder(encoder, served.get(), int8);
+  ExpectMatchesFreshEncoder(encoder, served.get());
 }
 
 // One fine-tuning step on the last layer: sum-of-squares loss over a few
@@ -205,12 +178,9 @@ void FineTuneStep(PreqrEncoder& encoder, bool begin_step) {
   if (begin_step) encoder.BeginStep(/*train=*/false);
 }
 
-// The int8 case is the regression pin for int8 encoders serving the
-// shadows calibrated before fine-tuning.
-TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
-  const bool int8 = GetParam();
+TEST(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
   auto model = E().MakeModel(31);
-  PreqrEncoder encoder(model.get(), EncoderOptions(int8));
+  PreqrEncoder encoder(model.get());
   // Warm the schema memo with an inference encode first (a never-tuned
   // encoder keeps no prefix on a query's first miss; the fine-tuning steps
   // below fill the prefix memo).
@@ -218,35 +188,11 @@ TEST_P(EncoderMemoTest, FineTuneStepMatchesFreshEncoder) {
     ASSERT_TRUE(v.ok());
   }
   FineTuneStep(encoder, /*begin_step=*/true);
-  ExpectMatchesFreshEncoder(encoder, model.get(), int8);
+  ExpectMatchesFreshEncoder(encoder, model.get());
   // Without the BeginStep hooks the train-mode encodes alone mark the
   // last layer stale.
   FineTuneStep(encoder, /*begin_step=*/false);
-  ExpectMatchesFreshEncoder(encoder, model.get(), int8);
-}
-
-// An int8 encoder's prefixes do not depend on history: a train-mode miss
-// caches the prefix a later inference encode reuses, so it must be the
-// int8 prefix a fresh int8 encoder computes.
-TEST(Int8PrefixCacheTest, TrainModeMissCachesTheInt8Prefix) {
-  auto model = E().MakeModel(37);
-  PreqrEncoder encoder(model.get(), EncoderOptions(/*int8=*/true));
-  for (const auto& sql : E().corpus) {
-    ASSERT_TRUE(encoder.TryEncodeVector(sql, /*train=*/true).ok()) << sql;
-  }
-  std::vector<nn::Tensor> got;
-  for (const auto& sql : E().corpus) {
-    auto v = encoder.TryEncodeVector(sql, /*train=*/false);
-    ASSERT_TRUE(v.ok()) << sql;
-    got.push_back(std::move(v).value());
-  }
-  PreqrEncoder fresh(model.get(), EncoderOptions(/*int8=*/true));
-  for (size_t i = 0; i < got.size(); ++i) {
-    auto want = fresh.TryEncodeVector(E().corpus[i], /*train=*/false);
-    ASSERT_TRUE(want.ok()) << E().corpus[i];
-    EXPECT_TRUE(SameBits(got[i], want.value()))
-        << "int8 inference encode reused a float prefix: " << E().corpus[i];
-  }
+  ExpectMatchesFreshEncoder(encoder, model.get());
 }
 
 // Every corpus query through `encoder`, inference mode, in order.
@@ -261,11 +207,10 @@ std::vector<nn::Tensor> EncodeCorpus(PreqrEncoder& encoder) {
 
 // The same bits whether an encoder fills the prefix memo or not, and
 // whether an encode reads its prefix from the memo or computes it.
-TEST_P(EncoderMemoTest, MemoFillingEncoderMatchesNeverTunedBitwise) {
-  const bool int8 = GetParam();
+TEST(EncoderMemoTest, MemoFillingEncoderMatchesNeverTunedBitwise) {
   auto model = E().MakeModel(43);
-  PreqrEncoder never_tuned(model.get(), EncoderOptions(int8));
-  PreqrEncoder filling(model.get(), EncoderOptions(int8));
+  PreqrEncoder never_tuned(model.get());
+  PreqrEncoder filling(model.get());
   // A fine-tuning step that moves no weight turns the memo on.
   filling.BeginStep(/*train=*/true);
   filling.BeginStep(/*train=*/false);
@@ -397,11 +342,6 @@ TEST(PrefixMemoTest, FineTunedFlagSurvivesInvalidateAndReload) {
   ASSERT_TRUE(service.Encode(E().corpus[2]).ok());
   EXPECT_EQ(encoder.cached_queries(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(FloatAndInt8, EncoderMemoTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Int8" : "Float";
-                         });
 
 }  // namespace
 }  // namespace preqr::tasks

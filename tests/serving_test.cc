@@ -11,6 +11,9 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -363,6 +366,85 @@ TEST(EncoderServiceTest, MetricsDumpExposesCountersAndLatencies) {
   }
   EXPECT_EQ(service.name(), "serving(PreQR)");
   EXPECT_EQ(service.dim(), encoder.dim());
+}
+
+// The metric names a single-tenant service's dump carries, one per line
+// (a line's name is the text before its first '{' or space). Adding or
+// removing a metric changes this list, so the change shows up in review.
+TEST(EncoderServiceTest, MetricsDumpNameSetIsPinned) {
+  auto model = E().MakeModel();
+  tasks::PreqrEncoder encoder(&model);
+  EncoderService service(&encoder);
+  (void)service.Encode(E().corpus[0]);
+  (void)service.Encode("not a query !!");
+  std::set<std::string> names;
+  std::istringstream dump(service.metrics().DumpText());
+  for (std::string line; std::getline(dump, line);) {
+    names.insert(line.substr(0, line.find_first_of("{ ")));
+  }
+  const std::set<std::string> want = {
+      "encode_batch_occupancy",
+      "encode_fallback_total",
+      "encode_padded_batches_total",
+      "encode_padded_slots_total",
+      "encode_padded_waste_pct_mean",
+      "encode_padded_waste_pct_p99",
+      "encode_valid_tokens_total",
+      "nn_buffer_pool_allocs_total",
+      "nn_buffer_pool_discards_total",
+      "nn_buffer_pool_live_bytes",
+      "nn_buffer_pool_releases_total",
+      "nn_buffer_pool_reuses_total",
+      "serving_batch_occupancy_pct_mean",
+      "serving_batch_occupancy_pct_p99",
+      "serving_batch_size_mean",
+      "serving_batch_size_p99",
+      "serving_batched_queries_total",
+      "serving_batches_total",
+      "serving_cache_hit_rate",
+      "serving_cache_hits_total",
+      "serving_cache_misses_total",
+      "serving_deadline_dropped_total",
+      "serving_deadline_rejected_total",
+      "serving_drain_waiters_total",
+      "serving_drained_requests_total",
+      "serving_encode_latency_us_p50",
+      "serving_encode_latency_us_p99",
+      "serving_errors_total",
+      "serving_hit_latency_us_p50",
+      "serving_hit_latency_us_p99",
+      "serving_invalidated_embeddings_total",
+      "serving_invalidations_total",
+      "serving_kernel_impl_info",
+      "serving_model_reload_failures_total",
+      "serving_model_reloads_total",
+      "serving_net_bad_frames_total",
+      "serving_net_connections_rejected_total",
+      "serving_net_connections_total",
+      "serving_net_requests_total",
+      "serving_queue_depth",
+      "serving_queue_latency_us_p50",
+      "serving_queue_latency_us_p99",
+      "serving_rejected_on_shutdown_total",
+      "serving_requests_total",
+      "serving_shed_client_quota_total",
+      "serving_shed_low_priority_total",
+      "serving_shed_queue_full_total",
+      "serving_shed_total",
+      "serving_tenant_cache_hits_total",
+      "serving_tenant_cache_misses_total",
+      "serving_tenant_deregistrations_total",
+      "serving_tenant_drained_requests_total",
+      "serving_tenant_errors_total",
+      "serving_tenant_not_found_total",
+      "serving_tenant_registrations_total",
+      "serving_tenant_reloads_total",
+      "serving_tenant_requests_total",
+      "serving_tenant_shed_total",
+  };
+  std::string got;
+  for (const auto& name : names) got += "      \"" + name + "\",\n";
+  EXPECT_EQ(names, want) << "the dump's metric names:\n" << got;
 }
 
 // The PreqrEncoder's own prefix cache is LRU-bounded now; hammer it past
